@@ -38,10 +38,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path microbenchmarks, one iteration each: a cheap CI smoke that the
-# match cache, streaming counts, and candidate lookup still compile, run,
+# match cache, streaming counts, candidate lookup, central placement and
+# probe sampling (each beside its in-run reference) still compile, run,
 # and report their allocation profiles.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'MatchCache|Satisfying|CandidateWorkers' -benchtime=1x -benchmem ./internal/cluster/ .
+	$(GO) test -run '^$$' -bench 'MatchCache|Satisfying|CandidateWorkers|CentralPlacement|SampleWorkers' -benchtime=1x -benchmem ./internal/cluster/ ./internal/sched/ .
 
 # Fault-campaign smoke: a short mixed scenario (outage + slowdown + probe
 # loss) against every bundled scheduler, invariant checker attached, under

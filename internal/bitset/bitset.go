@@ -201,6 +201,73 @@ func (s *Set) NthSet(n int) int {
 	return -1
 }
 
+// NthSets is NthSet over a batch: it replaces each ranks[i] with
+// NthSet(ranks[i]), in place and in list order (ranks may repeat and need not
+// be sorted). One prefix-popcount pass over the words fills scratch; each
+// rank then costs a binary search for its word plus an in-word select, so a
+// batch of k ranks is O(words + k log words) where per-rank NthSet calls are
+// O(k * words). scratch is grown if too short and returned: a caller that
+// keeps it across calls allocates nothing.
+func (s *Set) NthSets(ranks []int, scratch []int32) []int32 {
+	nw := len(s.words)
+	if cap(scratch) < nw+1 {
+		scratch = make([]int32, nw+1)
+	}
+	prefix := scratch[:nw+1]
+	var c int32
+	for i, w := range s.words {
+		prefix[i] = c
+		c += int32(bits.OnesCount64(w))
+	}
+	prefix[nw] = c
+	for i, r := range ranks {
+		if r < 0 || r >= int(c) {
+			ranks[i] = -1
+			continue
+		}
+		// The last word whose prefix is <= r holds the bit: every later
+		// word starts past r, and an empty word cannot be last because its
+		// successor's prefix equals its own.
+		lo, hi := 0, nw-1
+		for lo < hi {
+			mid := int(uint(lo+hi+1) >> 1)
+			if int(prefix[mid]) <= r {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		ranks[i] = lo*wordBits + selectInWord(s.words[lo], r-int(prefix[lo]))
+	}
+	return scratch
+}
+
+// selectInWord returns the position of w's n-th set bit (0-based); w must
+// have more than n set bits. Halving by popcount narrows to a byte before
+// the bit-clearing loop.
+func selectInWord(w uint64, n int) int {
+	pos := 0
+	if c := bits.OnesCount32(uint32(w)); n >= c {
+		n -= c
+		w >>= 32
+		pos = 32
+	}
+	if c := bits.OnesCount16(uint16(w)); n >= c {
+		n -= c
+		w >>= 16
+		pos += 16
+	}
+	if c := bits.OnesCount8(uint8(w)); n >= c {
+		n -= c
+		w >>= 8
+		pos += 8
+	}
+	for ; n > 0; n-- {
+		w &= w - 1
+	}
+	return pos + bits.TrailingZeros64(w)
+}
+
 // ForEach calls fn for every set bit in ascending order. fn returning false
 // stops the iteration early.
 func (s *Set) ForEach(fn func(i int) bool) {

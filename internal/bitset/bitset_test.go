@@ -195,6 +195,36 @@ func TestNthSetMatchesIndices(t *testing.T) {
 	}
 }
 
+func TestNthSets(t *testing.T) {
+	s := New(200)
+	want := []int{3, 64, 65, 150, 199}
+	for _, i := range want {
+		s.Set(i)
+	}
+	cases := []struct {
+		name        string
+		set         *Set
+		ranks, want []int
+	}{
+		{"empty set", New(130), []int{0, 1, -1}, []int{-1, -1, -1}},
+		{"zero capacity", New(0), []int{0}, []int{-1}},
+		{"no ranks", s, nil, nil},
+		{"unsorted with repeats", s, []int{4, 0, 2, 2, 1, 3, 0}, []int{199, 3, 65, 65, 64, 150, 3}},
+		{"out of range", s, []int{-1, 5, 6}, []int{-1, -1, -1}},
+	}
+	var scratch []int32
+	for _, c := range cases {
+		got := append([]int(nil), c.ranks...)
+		scratch = c.set.NthSets(got, scratch)
+		for i := range c.want {
+			if got[i] != c.want[i] {
+				t.Errorf("%s: NthSets(%v) = %v, want %v", c.name, c.ranks, got, c.want)
+				break
+			}
+		}
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	a := New(64)
 	a.Set(5)

@@ -6,12 +6,15 @@ import (
 
 // FuzzSetAgainstModel drives a Set through a fuzz-chosen operation sequence
 // and cross-checks every step against a map-based model. Any divergence —
-// a bit the model has that the set lost, a miscount, a wrong NextSet/NthSet
-// answer — fails with the operation trace encoded in the input.
+// a bit the model has that the set lost, a miscount, a wrong
+// NextSet/NthSet/NthSets answer — fails with the operation trace encoded in the input.
 func FuzzSetAgainstModel(f *testing.F) {
 	f.Add([]byte{130, 1, 5, 1, 70, 0, 5, 3, 4})
 	f.Add([]byte{64, 1, 63, 1, 64, 6, 0, 7, 0})
 	f.Add([]byte{255, 8, 0, 1, 17, 2, 17, 9, 0})
+	// Bits only in the first and last (partial) words of 200: two empty
+	// words between them for the batch select's word search to skip.
+	f.Add([]byte{199, 0, 0, 0, 3, 0, 63, 0, 197, 0, 198, 2, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -125,6 +128,32 @@ func FuzzSetAgainstModel(f *testing.F) {
 		}
 		if nth := s.NthSet(len(want)); nth != -1 {
 			t.Fatalf("NthSet(%d) = %d beyond population, want -1", len(want), nth)
+		}
+		// Batch select: every rank descending (unsorted), then the fuzz
+		// bytes as ranks (repeats), then both out-of-range sides, must
+		// each agree with NthSet. A short scratch forces the grow path.
+		var ranks []int
+		for i := len(want) - 1; i >= 0; i-- {
+			ranks = append(ranks, i)
+		}
+		for _, b := range data {
+			ranks = append(ranks, int(b)%(len(want)+1))
+		}
+		ranks = append(ranks, -1, len(want), len(want)+64)
+		sel := append([]int(nil), ranks...)
+		scratch := s.NthSets(sel, make([]int32, 1))
+		for i, r := range ranks {
+			if nth := s.NthSet(r); sel[i] != nth {
+				t.Fatalf("NthSets rank %d (list slot %d) = %d, NthSet %d", r, i, sel[i], nth)
+			}
+		}
+		// A reused scratch gives the same answers.
+		sel = append(sel[:0], ranks...)
+		s.NthSets(sel, scratch)
+		for i, r := range ranks {
+			if nth := s.NthSet(r); sel[i] != nth {
+				t.Fatalf("NthSets with reused scratch, rank %d = %d, NthSet %d", r, sel[i], nth)
+			}
 		}
 		// NextSet chains exactly through the model's indices.
 		i, idx := s.NextSet(0), 0

@@ -226,6 +226,11 @@ func runDriver(ctx context.Context, d *sched.Driver) (*sched.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// A cancel's halt can land after Run has returned (AfterFunc runs it
+	// on its own goroutine, and stop does not wait for it). That is benign
+	// here, unlike in Driver.RunService's drain: the driver never runs
+	// again, so a late halt only raises the flag on an engine nobody
+	// steps, and the result or error already returned stands.
 	stop := context.AfterFunc(ctx, d.Halt)
 	defer stop()
 	res, err := d.Run()

@@ -46,9 +46,14 @@ type Driver struct {
 	// running-end), shared with every Worker; placement scans read it
 	// directly instead of dereferencing workers.
 	soa *workerSoA
-	// placeHeap is the central placer's reusable candidate heap (soa.go);
+	// placeHeap and placePicks are the central placer's reusable
+	// selection heap (soa.go) and chosen-worker list (central.go);
 	// scratch, valid only within one PlaceJob call.
-	placeHeap backlogHeap
+	placeHeap  backlogHeap
+	placePicks []int32
+	// rankScratch is SampleWorkers' reusable prefix-popcount buffer
+	// (bitset.NthSets).
+	rankScratch []int32
 
 	// failStream drives failure injection when enabled.
 	failStream *simulation.Stream
@@ -831,11 +836,12 @@ func (d *Driver) CandidateWorkers(js *JobState) *bitset.Set {
 // SampleWorkers draws up to k distinct workers uniformly from the candidate
 // set. When the set holds at most k workers it returns all of them.
 //
-// Candidate sets interned by an installed shard plan take a fast path: the
-// plan precomputed the set's popcount and ascending ID list, so drawing the
-// r-th member is one array index instead of an O(cluster/64) bitset rank
-// scan. The sample — and the random stream consumption — is identical to
-// the slow path's, because NthSet(r) over a bitset IS its r-th ascending ID.
+// The drawn ranks map to workers in one batched select (workersAtRanks).
+// Candidate sets interned by an installed shard plan take a faster path:
+// the plan precomputed the set's popcount and ascending ID list, so drawing
+// the r-th member is one array index. The sample — and the random stream
+// consumption — is identical on both paths, because the r-th ascending ID
+// of the interned list IS the bitset's r-th set bit.
 func (d *Driver) SampleWorkers(cands *bitset.Set, k int, stream *simulation.Stream) []*Worker {
 	if sh := d.shard; sh != nil {
 		if m := sh.plan.Lookup(cands); m != nil {
@@ -861,9 +867,17 @@ func (d *Driver) SampleWorkers(cands *bitset.Set, k int, stream *simulation.Stre
 		k = n
 	}
 	ranks := stream.SampleWithoutReplacement(n, k)
-	out := make([]*Worker, 0, k)
-	for _, r := range ranks {
-		if id := cands.NthSet(r); id >= 0 {
+	return d.workersAtRanks(make([]*Worker, 0, k), cands, ranks)
+}
+
+// workersAtRanks appends, in list order, the worker holding each rank's
+// ascending-ID position in cands, overwriting ranks with those IDs. One
+// prefix-popcount pass serves the whole list (bitset.NthSets), where a
+// per-rank NthSet would rescan the words from the start every time.
+func (d *Driver) workersAtRanks(out []*Worker, cands *bitset.Set, ranks []int) []*Worker {
+	d.rankScratch = cands.NthSets(ranks, d.rankScratch)
+	for _, id := range ranks {
+		if id >= 0 {
 			out = append(out, d.workers[id])
 		}
 	}

@@ -128,22 +128,25 @@ func (d *Driver) RunService(ctx context.Context, horizon simulation.Time) (*Serv
 	}
 
 	cancelled := false
-	var stop func() bool
+	var settle func()
 	if ctx != nil {
-		stop = context.AfterFunc(ctx, d.Halt)
+		settle = haltOnCancel(ctx, d.Halt)
 	}
 	err := d.engine.Run()
-	if stop != nil {
-		stop()
+	if settle != nil {
+		settle()
 	}
 	if errors.Is(err, simulation.ErrHalted) && ctx != nil && ctx.Err() != nil {
-		// Graceful drain: close admission and re-enter the event loop (the
-		// ErrHalted return consumed the halt flag). The cancel's AfterFunc
-		// has already fired, so nothing halts the drain. Halt being sticky
-		// also covers the construction-to-run window: a cancel landing
-		// before the first event loop iteration still halts the run instead
-		// of being dropped.
+		// Graceful drain: close admission and re-enter the event loop.
+		// The halt that ended the first Run need not be the cancel's: a
+		// synchronous Halt may have been consumed first. settle has
+		// waited until the cancel's halt, if it fired, has landed, so
+		// clearing the flag here leaves nothing that can halt the drain.
+		// Halt being sticky also covers the construction-to-run window: a
+		// cancel landing before the first event loop iteration still
+		// halts the run instead of being dropped.
 		cancelled = true
+		d.engine.ClearHalt()
 		d.closeAdmission()
 		err = d.engine.Run()
 	}
@@ -172,6 +175,28 @@ func (d *Driver) RunService(ctx context.Context, horizon simulation.Time) (*Serv
 		Cancelled:    cancelled,
 		DrainedAt:    drained,
 	}, nil
+}
+
+// afterFunc is context.AfterFunc; tests replace it to force the
+// interleavings of a cancel racing the end of a run.
+var afterFunc = context.AfterFunc
+
+// haltOnCancel arranges for halt to run once ctx is cancelled. The returned
+// settle detaches it and, if halt has already started on the context's
+// goroutine, waits for it to return: after settle, no halt from ctx can
+// land later. Without the wait a cancel that fired just as the run ended
+// could halt a Run started afterwards.
+func haltOnCancel(ctx context.Context, halt func()) (settle func()) {
+	done := make(chan struct{})
+	stop := afterFunc(ctx, func() {
+		defer close(done)
+		halt()
+	})
+	return func() {
+		if !stop() {
+			<-done
+		}
+	}
 }
 
 // scheduleNextArrival pulls one job from the source and arms its arrival

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"testing"
+	"time"
 
 	"github.com/phoenix-sched/phoenix/internal/cluster"
 	"github.com/phoenix-sched/phoenix/internal/simulation"
@@ -174,8 +175,8 @@ func TestServiceCancelDrainsGracefully(t *testing.T) {
 	defer cancel()
 	// Cancel at a fixed virtual time, long before the 1-hour horizon.
 	// Halting synchronously right after the cancel pins the halt point in
-	// virtual time; the production path's AfterFunc lands on an
-	// already-halted engine and is a no-op.
+	// virtual time; the production path's AfterFunc halt may land after
+	// that, which TestServiceLateCancelHaltCannotStopDrain pins down.
 	d.Every(30*simulation.Second, func(simulation.Time) bool {
 		cancel()
 		d.Halt()
@@ -199,6 +200,89 @@ func TestServiceCancelDrainsGracefully(t *testing.T) {
 	}
 	if !d.ServiceDone() {
 		t.Error("ServiceDone false after graceful drain")
+	}
+}
+
+// TestServiceLateCancelHaltCannotStopDrain forces the interleaving where
+// a synchronous Halt ends the first Run and the context's own halt lands
+// only afterwards, as the run returns. The AfterFunc seam hands the halt
+// to the run's stop call: "sync" runs it there and then, "async" starts it
+// on another goroutine, both reporting it as already started. Either way
+// the late halt must not stop the drain. The race detector cannot see this
+// bug — it is a logic race on an atomic flag, not a data race — so the
+// seam makes it deterministic.
+func TestServiceLateCancelHaltCannotStopDrain(t *testing.T) {
+	for _, mode := range []string{"sync", "async"} {
+		t.Run(mode, func(t *testing.T) {
+			defer func(orig func(context.Context, func()) func() bool) { afterFunc = orig }(afterFunc)
+			fired := 0
+			afterFunc = func(_ context.Context, f func()) func() bool {
+				return func() bool {
+					fired++
+					if mode == "sync" {
+						f()
+					} else {
+						go f()
+					}
+					return false
+				}
+			}
+			cl, _, src := serviceTestbed(t, 60, trace.ArrivalConfig{})
+			d, err := NewServiceDriver(DefaultConfig(), cl, src, &fifoScheduler{}, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			d.Every(30*simulation.Second, func(simulation.Time) bool {
+				cancel()
+				d.Halt()
+				return false
+			})
+			res, err := d.RunService(ctx, 3600*simulation.Second)
+			if err != nil {
+				t.Fatalf("late cancel halt stopped the drain: %v", err)
+			}
+			if fired != 1 {
+				t.Fatalf("seam stop called %d times, want 1", fired)
+			}
+			if !res.Cancelled {
+				t.Error("cancelled run not reported as Cancelled")
+			}
+			if got := res.Collector.JobsAdded(); got != res.JobsAdmitted {
+				t.Errorf("collector finished %d jobs, admitted %d", got, res.JobsAdmitted)
+			}
+		})
+	}
+}
+
+// TestHaltOnCancelSettleWaitsForHalt holds the cancel's halt mid-flight
+// and checks that settle does not return before the halt does.
+func TestHaltOnCancelSettleWaitsForHalt(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	entered, release := make(chan struct{}), make(chan struct{})
+	halted := false
+	settle := haltOnCancel(ctx, func() {
+		close(entered)
+		<-release
+		halted = true
+	})
+	cancel()
+	<-entered
+	settled := make(chan struct{})
+	go func() {
+		settle()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+		t.Fatal("settle returned while the halt was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-settled
+	if !halted {
+		t.Fatal("settle returned before the halt completed")
 	}
 }
 

@@ -63,32 +63,46 @@ func (st *workerSoA) loadAt(id int, now simulation.Time) simulation.Time {
 	return b
 }
 
-// backlogHeap is a scratch min-heap over candidate workers keyed by
-// (projected load, score, ID) — the central placer's incremental view of
-// "least-backlogged candidate". Binding a task changes only the chosen
-// worker's load, so after the O(|cands|) build each subsequent task costs
-// one root update and sift instead of a fresh full-cluster scan; the
-// selection sequence is identical to rescanning because nothing else moves
-// between claims. The heap is owned by the Driver and reused across
-// placements (the event loop is single-threaded), so steady-state central
-// placement allocates nothing.
+// backlogHeap is the central placer's scratch selection over candidate
+// workers keyed by (projected load, score, ID) — the exact order of
+// LeastBacklogInScored, where ascending-ID iteration keeps the lowest ID
+// among full ties. It is owned by the Driver and reused across placements
+// (the event loop is single-threaded), so steady-state central placement
+// allocates nothing.
+//
+// A fill keeps only the k smallest keys of its candidates (offer), then
+// min-heapifies them (settle); placement then reads and bumps the root.
+// That is exact for k bindings, not an approximation. (load, score, ID) is
+// a total order, and each binding raises (or, for a negative estimate,
+// lowers) only the chosen worker's key. At pick i at most i-1 workers have
+// been bumped, so at least one of the k smallest initial keys is still
+// unbumped, and it beats every worker outside that set, whose keys never
+// moved. Hence every one of the k picks lies in the k-smallest set, and
+// selecting among it picks identically to rescanning all candidates — for
+// any sign of the bump. The scan is O(|cands|) with one compare per
+// rejected candidate, plus O(k log k) for the survivors.
 type backlogHeap struct {
 	b  []simulation.Time
 	s  []float64
 	id []int32
+	// k bounds the current fill: offer keeps the k smallest keys.
+	k int
 }
 
-// less orders heap slots by (load, score, worker ID) — the exact
-// tie-breaking of LeastBacklogInScored, where ascending-ID iteration keeps
-// the first (lowest-ID) worker among full ties.
+// less orders heap slots by (load, score, worker ID).
 func (h *backlogHeap) less(i, j int) bool {
-	if h.b[i] != h.b[j] {
-		return h.b[i] < h.b[j]
+	return keyLess(h.b[i], h.s[i], h.id[i], h.b[j], h.s[j], h.id[j])
+}
+
+// keyLess is the (load, score, ID) order over unpacked keys.
+func keyLess(b1 simulation.Time, s1 float64, id1 int32, b2 simulation.Time, s2 float64, id2 int32) bool {
+	if b1 != b2 {
+		return b1 < b2
 	}
-	if h.s[i] != h.s[j] {
-		return h.s[i] < h.s[j]
+	if s1 != s2 {
+		return s1 < s2
 	}
-	return h.id[i] < h.id[j]
+	return id1 < id2
 }
 
 func (h *backlogHeap) swap(i, j int) {
@@ -97,6 +111,7 @@ func (h *backlogHeap) swap(i, j int) {
 	h.id[i], h.id[j] = h.id[j], h.id[i]
 }
 
+// siftDown restores min-heap order below slot i.
 func (h *backlogHeap) siftDown(i int) {
 	n := len(h.b)
 	for {
@@ -116,18 +131,76 @@ func (h *backlogHeap) siftDown(i int) {
 	}
 }
 
-// reset empties the heap, keeping capacity.
-func (h *backlogHeap) reset() {
+// siftDownMax restores max-heap order below slot i (the bounded fill's
+// largest-survivor root).
+func (h *backlogHeap) siftDownMax(i int) {
+	n := len(h.b)
+	for {
+		l, r := 2*i+1, 2*i+2
+		max := i
+		if l < n && h.less(max, l) {
+			max = l
+		}
+		if r < n && h.less(max, r) {
+			max = r
+		}
+		if max == i {
+			return
+		}
+		h.swap(i, max)
+		i = max
+	}
+}
+
+// reset empties the heap for a fill that keeps the k smallest keys,
+// keeping capacity.
+func (h *backlogHeap) reset(k int) {
 	h.b = h.b[:0]
 	h.s = h.s[:0]
 	h.id = h.id[:0]
+	h.k = k
+}
+
+// full reports whether the fill holds k survivors, so that the root is the
+// largest of them and a candidate must beat it to enter.
+func (h *backlogHeap) full() bool { return len(h.b) == h.k }
+
+// admits reports whether a candidate enters the fill: always while fewer
+// than k are held, otherwise only by beating the largest survivor at the
+// root. Callers test it inline so that a rejection costs no call.
+func (h *backlogHeap) admits(b simulation.Time, s float64, id int32) bool {
+	return len(h.b) < h.k || keyLess(b, s, id, h.b[0], h.s[0], h.id[0])
+}
+
+// offer adds an admitted candidate, keeping the k smallest keys seen.
+// Until k are held the slots are an unordered array; the k-th turns them
+// into a max-heap, after which a candidate replaces the largest survivor.
+func (h *backlogHeap) offer(b simulation.Time, s float64, id int32) {
+	if n := len(h.b); n < h.k {
+		h.b = append(h.b, b)
+		h.s = append(h.s, s)
+		h.id = append(h.id, id)
+		if n+1 == h.k {
+			for i := h.k/2 - 1; i >= 0; i-- {
+				h.siftDownMax(i)
+			}
+		}
+		return
+	}
+	h.b[0], h.s[0], h.id[0] = b, s, id
+	h.siftDownMax(0)
+}
+
+// settle ends a fill: it min-heapifies the survivors, so the root is the
+// least-loaded candidate for bumpMin and popMin.
+func (h *backlogHeap) settle() {
+	for i := len(h.b)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
 }
 
 // empty reports whether the heap holds no candidates.
 func (h *backlogHeap) empty() bool { return len(h.b) == 0 }
-
-// minID returns the least-loaded candidate's worker ID.
-func (h *backlogHeap) minID() int { return int(h.id[0]) }
 
 // bumpMin adds delta to the minimum candidate's load (a task was just
 // bound there) and restores heap order.
@@ -136,8 +209,7 @@ func (h *backlogHeap) bumpMin(delta simulation.Time) {
 	h.siftDown(0)
 }
 
-// popMin discards the minimum candidate (it became ineligible — e.g. its
-// rack was claimed by a spread placement) and restores heap order.
+// popMin discards the minimum candidate and restores heap order.
 func (h *backlogHeap) popMin() {
 	last := len(h.b) - 1
 	h.swap(0, last)
@@ -147,12 +219,16 @@ func (h *backlogHeap) popMin() {
 	h.siftDown(0)
 }
 
-// fillBacklogHeap loads h with every candidate in cands at its current
-// load (and score, when scoring is on), then heapifies. Scores are stable
-// within one placement loop — nothing that feeds them runs between claims
-// — so sampling them once here equals the per-task rescan.
-func (d *Driver) fillBacklogHeap(h *backlogHeap, cands *bitset.Set, score func(*Worker) float64) {
-	h.reset()
+// fillBacklogHeap fills h with the k smallest (load, score, ID) keys among
+// cands at their current load, ready for k bindings (see backlogHeap).
+// Scores are stable within one placement — nothing that feeds them runs
+// between claims — so sampling them once here equals the per-task rescan;
+// a candidate already beaten on load alone is never scored.
+func (d *Driver) fillBacklogHeap(h *backlogHeap, cands *bitset.Set, score func(*Worker) float64, k int) {
+	h.reset(k)
+	if k <= 0 {
+		return
+	}
 	now := d.engine.Now()
 	st := d.soa
 	if sh := d.shard; sh != nil {
@@ -162,36 +238,63 @@ func (d *Driver) fillBacklogHeap(h *backlogHeap, cands *bitset.Set, score func(*
 			// instead of ranking bitset words.
 			for _, id32 := range m.IDs {
 				id := int(id32)
+				b := st.loadAt(id, now)
+				if h.full() && b > h.b[0] {
+					continue
+				}
 				var s float64
 				if score != nil {
 					s = score(d.workers[id])
 				}
-				h.b = append(h.b, st.loadAt(id, now))
-				h.s = append(h.s, s)
-				h.id = append(h.id, id32)
+				if h.admits(b, s, id32) {
+					h.offer(b, s, id32)
+				}
 			}
-			for i := len(h.b)/2 - 1; i >= 0; i-- {
-				h.siftDown(i)
-			}
+			h.settle()
 			return
 		}
 	}
-	for wi, word := range cands.Words() {
+	d.fillRange(h, cands, 0, cands.Len(), score)
+	h.settle()
+}
+
+// fillRange offers every candidate with an ID in [lo, hi) to h, in
+// ascending ID order, without settling it.
+func (d *Driver) fillRange(h *backlogHeap, cands *bitset.Set, lo, hi int, score func(*Worker) float64) {
+	now := d.engine.Now()
+	st := d.soa
+	words := cands.Words()
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		word := maskedWord(words, wi, lo, hi)
 		for word != 0 {
 			id := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
+			b := st.loadAt(id, now)
+			if h.full() && b > h.b[0] {
+				continue
+			}
 			var s float64
 			if score != nil {
 				s = score(d.workers[id])
 			}
-			h.b = append(h.b, st.loadAt(id, now))
-			h.s = append(h.s, s)
-			h.id = append(h.id, int32(id))
+			if h.admits(b, s, int32(id)) {
+				h.offer(b, s, int32(id))
+			}
 		}
 	}
-	for i := len(h.b)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+}
+
+// maskedWord returns words[wi] restricted to the bits of IDs in [lo, hi);
+// wi must lie in that range's words.
+func maskedWord(words []uint64, wi, lo, hi int) uint64 {
+	w := words[wi]
+	if wi == lo>>6 {
+		w &= ^uint64(0) << (uint(lo) & 63)
 	}
+	if (wi+1)<<6 > hi {
+		w &= 1<<(uint(hi)&63) - 1
+	}
+	return w
 }
 
 // LeastBacklog returns the worker with the smallest backlog among ws,

@@ -141,6 +141,12 @@ func (e *Engine) Cancel(ev *ScheduledEvent) bool {
 // engine), so the following Run proceeds normally.
 func (e *Engine) Halt() { e.halted.Store(true) }
 
+// ClearHalt drops a pending halt without running. A caller that has
+// already observed the halt it asked for — a drain re-entering Run after a
+// cancel — clears any duplicate that landed meanwhile, so the duplicate
+// cannot stop the next Run.
+func (e *Engine) ClearHalt() { e.halted.Store(false) }
+
 // haltConsumed reports whether a pending halt was observed, consuming it.
 func (e *Engine) haltConsumed() bool {
 	if !e.halted.Load() {
