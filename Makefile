@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ci bench bench-hotpath docs-check faults runner service sharded gang admission nightly nightly-report experiments figures clean
+.PHONY: all build test race vet ci bench bench-hotpath docs-check faults runner service sharded gang admission nightly nightly-report results-check experiments figures clean
 
 all: build test
 
@@ -38,11 +38,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path microbenchmarks, one iteration each: a cheap CI smoke that the
-# match cache, streaming counts, candidate lookup, central placement and
-# probe sampling (each beside its in-run reference) still compile, run,
-# and report their allocation profiles.
+# match cache, streaming counts, candidate lookup, central placement,
+# probe sampling and the heartbeat's CRV reads (each beside its in-run
+# reference) still compile, run, and report their allocation profiles.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'MatchCache|Satisfying|CandidateWorkers|CentralPlacement|SampleWorkers' -benchtime=1x -benchmem ./internal/cluster/ ./internal/sched/ .
+	$(GO) test -run '^$$' -bench 'MatchCache|Satisfying|CandidateWorkers|CentralPlacement|SampleWorkers|HeartbeatCRV' -benchtime=1x -benchmem ./internal/cluster/ ./internal/sched/ .
 
 # Fault-campaign smoke: a short mixed scenario (outage + slowdown + probe
 # loss) against every bundled scheduler, invariant checker attached, under
@@ -135,6 +135,28 @@ nightly-report:
 	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -profile google -scale 1.0 -seed 7 \
 		-report $(NIGHTLY_REPORT_DIR)/report-google-phoenix.md \
 		-timeseries $(NIGHTLY_REPORT_DIR)/report-google-phoenix.csv
+
+# Committed-output check (run nightly, see .github/workflows/nightly.yml):
+# regenerate every experiment CSV and SVG figure and the three reference
+# report runs with the results/README.md commands into RESULTS_CHECK_DIR,
+# then diff them against results/. ext-sharded is left out: its committed
+# CSV is a 10x-scale run with wall-clock timing (results/README.md).
+RESULTS_CHECK_DIR ?= /tmp/results-check
+results-check:
+	rm -rf $(RESULTS_CHECK_DIR)
+	mkdir -p $(RESULTS_CHECK_DIR)/figures
+	$(GO) run ./cmd/experiments -run all -csv $(RESULTS_CHECK_DIR) -svg $(RESULTS_CHECK_DIR)/figures > /dev/null
+	$(GO) run ./cmd/experiments -report $(RESULTS_CHECK_DIR)/report-google-phoenix.md \
+		-timeseries $(RESULTS_CHECK_DIR)/report-google-phoenix.csv > /dev/null
+	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -profile google -scale 0.1 \
+		-seed 7 -faults scenarios/rack-outage.json -validate \
+		-report $(RESULTS_CHECK_DIR)/report-google-phoenix-rack-outage.md \
+		-timeseries $(RESULTS_CHECK_DIR)/report-google-phoenix-rack-outage.csv > /dev/null
+	$(GO) run ./cmd/phoenix-sim -service -scheduler phoenix -profile google \
+		-scale 0.1 -seed 7 -duration 600 -window 30 -validate -digest \
+		-windows $(RESULTS_CHECK_DIR)/report-service-poisson.csv \
+		-report $(RESULTS_CHECK_DIR)/report-service-poisson.md > /dev/null
+	diff -r -x 'ext-sharded.*' -x 'BENCH_*.json' -x '*.golden' -x README.md results $(RESULTS_CHECK_DIR)
 
 # Regenerate every paper table/figure (tables to stdout, CSVs + SVGs to
 # results/). JOBS bounds concurrent work units; 0 means GOMAXPROCS.

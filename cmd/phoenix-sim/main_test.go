@@ -99,3 +99,35 @@ func TestRunErrors(t *testing.T) {
 		t.Error("bad flag accepted")
 	}
 }
+
+// TestRunReplayRejectsHostileJobs streams two-job traces whose second job
+// is malformed through -service -replay: each run must fail with an error
+// naming the job (no panic, no digest), like the batch -trace path.
+func TestRunReplayRejectsHostileJobs(t *testing.T) {
+	const head = `{"format":"phoenix-trace-v1","name":"t","num_nodes":20,"short_cutoff_us":90000000,"num_jobs":2}
+{"id":0,"arrival_us":0,"short":true,"tasks":[{"id":0,"job_id":0,"index":0,"duration_us":1000000}]}
+`
+	cases := map[string]struct{ job1, want string }{
+		"unknown dimension": {
+			`{"id":1,"arrival_us":5,"tasks":[{"id":1,"job_id":1,"index":0,"duration_us":1000000,"constraints":[{"dim":99,"op":1,"value":1}]}]}`,
+			"job 1 task 0: constraint: invalid dimension 99"},
+		"negative duration": {
+			`{"id":1,"arrival_us":5,"tasks":[{"id":1,"job_id":1,"index":0,"duration_us":-5000000}]}`,
+			"task 0 of job 1 has non-positive duration"},
+		"gang wider than job": {
+			`{"id":1,"arrival_us":5,"gang_width":999,"tasks":[{"id":1,"job_id":1,"index":0,"duration_us":1000000}]}`,
+			"job 1 has gang width 999 with 1 tasks"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.jsonl")
+			if err := os.WriteFile(path, []byte(head+tc.job1+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err := run([]string{"-service", "-replay", path, "-validate", "-digest"})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}

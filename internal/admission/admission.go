@@ -18,9 +18,10 @@
 //
 // Wiring: Attach installs the controller as the driver's
 // sched.DriverPolicy (scoping CandidateWorkers relaxation to exactly the
-// currently relaxed dimensions) plus a passive heartbeat ticker that
-// recomputes the CRV the same way the telemetry recorder does — directly
-// from the queues, so the signal is identical for every scheduler. When no
+// currently relaxed dimensions) plus a passive heartbeat ticker that reads
+// the driver's queue-derived CRV (sched.Driver.QueueCRV, the same vector
+// telemetry and Phoenix's monitor read), so the signal is identical for
+// every scheduler. When no
 // controller is attached the driver's legacy all-or-nothing fallback is
 // untouched and runs are byte-identical to pre-admission builds.
 // AttachStatic installs the always-relax baseline the ext-admission
@@ -235,41 +236,9 @@ func (c *Controller) tick(simulation.Time) bool {
 	if c.done || c.d.ServiceDone() {
 		return false
 	}
-	v := c.crv()
+	v := c.d.QueueCRV()
 	c.Step(&v)
 	return true
-}
-
-// crv recomputes the queue-derived CRV exactly as the telemetry recorder
-// does (telemetry.Sample.CRV): every queued constrained entry contributes
-// 1/(live satisfying machines) per dimension, and dimensions with queued
-// demand but zero live supply are clamped to constraint.SupplyLostRatio.
-// Computing it here (rather than reading a scheduler's monitor) keeps the
-// control signal identical across schedulers, including those with no CRV
-// state of their own.
-func (c *Controller) crv() constraint.Vector {
-	var v constraint.Vector
-	var lost constraint.DimMask
-	for _, w := range c.d.Workers() {
-		for _, e := range w.Queue() {
-			for _, cn := range e.Job.Constraints {
-				n := c.d.LiveSupplyOne(cn)
-				if n == 0 {
-					lost = lost.With(cn.Dim)
-					continue
-				}
-				v.Set(cn.Dim, v.Get(cn.Dim)+1/float64(n))
-			}
-		}
-	}
-	if lost != 0 {
-		for _, dim := range constraint.Dims {
-			if lost.Has(dim) {
-				v.Set(dim, constraint.SupplyLostRatio)
-			}
-		}
-	}
-	return v
 }
 
 // OnJobFinish implements sched.Observer: in batch mode the controller

@@ -36,15 +36,6 @@ type Monitor struct {
 	demandCredit []float64
 	// heartbeats counts monitor refreshes.
 	heartbeats int64
-	// supplyCache memoizes live supply per distinct constraint within one
-	// Refresh (cleared on entry: supply shifts only with failures and
-	// repairs, which cannot land mid-refresh). The queue backlog repeats
-	// the same few constraints thousands of times; caching turns a binary
-	// search per queued entry-constraint into one per distinct constraint.
-	// Only the supply lookup is cached — the per-entry 1/n additions run
-	// in exactly the original order, so the float64 accumulation (and with
-	// it the run digest) is bit-identical.
-	supplyCache map[constraint.Constraint]int
 	// samples accumulates (estimate, realized) waiting-time pairs when
 	// estimate validation is enabled.
 	samples []EstimateSample
@@ -67,7 +58,6 @@ func NewMonitor(n int) *Monitor {
 		lastWait:     make([]float64, n),
 		marked:       make([]bool, n),
 		demandCredit: make([]float64, n),
-		supplyCache:  make(map[constraint.Constraint]int),
 	}
 }
 
@@ -146,20 +136,6 @@ func (m *Monitor) Wait(w int) float64 { return m.lastWait[w] }
 // Heartbeats reports how many refreshes have run.
 func (m *Monitor) Heartbeats() int64 { return m.heartbeats }
 
-// supply returns the number of live (non-failed) workers satisfying c,
-// memoized per distinct constraint for the duration of one Refresh. The
-// cluster index precomputes per-value static counts and the driver
-// subtracts failed satisfying machines with one word-wise popcount, so a
-// cache miss stays a binary search plus a lookup when nothing is down.
-func (m *Monitor) supply(d *sched.Driver, c constraint.Constraint) int {
-	if n, ok := m.supplyCache[c]; ok {
-		return n
-	}
-	n := d.LiveSupplyOne(c)
-	m.supplyCache[c] = n
-	return n
-}
-
 // Refresh recomputes the CRV and the per-worker estimates (the body of
 // Algorithm 1's CRV_MONITOR procedure), then returns whether CRV-based
 // reordering should be active (some dimension over the CRV threshold).
@@ -168,48 +144,15 @@ func (m *Monitor) supply(d *sched.Driver, c constraint.Constraint) int {
 // constrains, one task spread over the workers that could serve that
 // constraint — 1/supply. Summed over the queue backlog this yields, per
 // dimension, the expected number of queued tasks per satisfying worker: the
-// CRV demand/supply ratio of §IV-A.
+// CRV demand/supply ratio of §IV-A. The vector is the driver's shared
+// Driver.QueueCRV, so telemetry and admission read the same scan.
 func (m *Monitor) Refresh(d *sched.Driver, crvThreshold, qwaitThresholdSeconds float64) bool {
 	m.heartbeats++
-	clear(m.supplyCache)
 	for i := range m.demandCredit {
 		m.demandCredit[i] *= demandDecay
 	}
-	var vec constraint.Vector
-	var lost constraint.DimMask
-	for _, w := range d.Workers() {
-		for _, e := range w.Queue() {
-			cs := e.Job.Constraints
-			if len(cs) == 0 {
-				continue
-			}
-			for _, c := range cs {
-				n := m.supply(d, c)
-				if n == 0 {
-					// Demand with zero live supply: an outage erased every
-					// satisfying machine (admission guarantees static
-					// supply, so this is reachable only through failures).
-					// The ratio is clamped to the sentinel below instead of
-					// dividing by zero.
-					lost = lost.With(c.Dim)
-					continue
-				}
-				vec.Set(c.Dim, vec.Get(c.Dim)+1/float64(n))
-			}
-		}
-	}
-	if lost != 0 {
-		// Clamp supply-lost dimensions to the finite sentinel: maximally
-		// contended (AnyAbove fires, so the monitor goes hot and CRV
-		// reordering engages) without +Inf/NaN escaping into telemetry.
-		for _, dim := range constraint.Dims {
-			if lost.Has(dim) {
-				vec.Set(dim, constraint.SupplyLostRatio)
-			}
-		}
-	}
-	m.vector = vec
-	m.hot = vec.AnyAbove(crvThreshold)
+	m.vector = d.QueueCRV()
+	m.hot = m.vector.AnyAbove(crvThreshold)
 
 	for _, w := range d.Workers() {
 		wait, saturated := w.Estimator.EstimateWait()

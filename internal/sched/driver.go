@@ -65,6 +65,11 @@ type Driver struct {
 	downSet   *bitset.Set
 	downCount int
 
+	// crvMemo is the last unscoped QueueCRV result, valid while
+	// soa.queueEpoch still equals crvMemoEpoch.
+	crvMemo      constraint.Vector
+	crvMemoEpoch uint64
+
 	// probeFilter, when non-nil, intercepts every probe placement; a true
 	// return drops the probe in flight (fault-injected probe loss). See
 	// SetProbeFilter.
@@ -137,6 +142,7 @@ func newDriver(cfg Config, cl *cluster.Cluster, tr *trace.Trace, s Scheduler, se
 		scheduler: s,
 	}
 	d.soa = newWorkerSoA(cl.Size())
+	d.crvMemoEpoch = ^uint64(0) // no memo until the first QueueCRV
 	for i := range d.workers {
 		est, err := queueing.NewEstimator(cfg.ServiceWindow, cfg.ArrivalWindow)
 		if err != nil {
@@ -388,6 +394,7 @@ func (d *Driver) takeDown(w *Worker, now simulation.Time) {
 	w.failed = true
 	d.downSet.Set(w.ID)
 	d.downCount++
+	d.soa.queueEpoch++
 	d.collector.WorkerFailures++
 	if w.running != nil {
 		if w.completion != nil {
@@ -409,6 +416,7 @@ func (d *Driver) recoverWorker(w *Worker) {
 	w.failed = false
 	d.downSet.Clear(w.ID)
 	d.downCount--
+	d.soa.queueEpoch++
 	d.notifyWorkerRecovery(w)
 	now := d.engine.Now()
 	if w.running != nil {
@@ -512,6 +520,62 @@ func (d *Driver) LiveSupplyOne(cn constraint.Constraint) int {
 		return n
 	}
 	return n - d.cl.SatisfyingOneAmong(cn, d.downSet)
+}
+
+// QueueCRV returns the queue-derived Constraint Resource Vector (paper
+// §IV-A): every queued constrained entry adds, to each dimension it
+// constrains, 1/(live machines satisfying that constraint), and a
+// dimension with queued demand but zero live supply is clamped to
+// constraint.SupplyLostRatio. It is the one CRV computation the Phoenix
+// monitor, the telemetry recorder and the admission controller share.
+//
+// The scan visits workers, queue entries and constraints in order, so the
+// float64 sums are bit-identical however often it runs. The result is
+// memoized on the driver's queue epoch, which every input mutation bumps
+// (queue push and delete, failure and recovery, constraint rewrites in
+// CandidateWorkers): readers at one instant with no mutation between them
+// share one scan. Inside an active shard scope it covers only that shard's
+// workers and live supply (Workers, LiveSupplyOne) and is computed fresh.
+func (d *Driver) QueueCRV() constraint.Vector {
+	if sh := d.shard; sh != nil && sh.active >= 0 {
+		return d.scanQueueCRV()
+	}
+	if d.crvMemoEpoch != d.soa.queueEpoch {
+		d.crvMemo = d.scanQueueCRV()
+		d.crvMemoEpoch = d.soa.queueEpoch
+	}
+	return d.crvMemo
+}
+
+// scanQueueCRV is QueueCRV's one pass over the (scoped) queues.
+func (d *Driver) scanQueueCRV() constraint.Vector {
+	var vec constraint.Vector
+	var lost constraint.DimMask
+	for _, w := range d.Workers() {
+		for _, e := range w.queue {
+			for _, c := range e.Job.Constraints {
+				n := d.LiveSupplyOne(c)
+				if n == 0 {
+					// Demand with zero live supply: an outage erased every
+					// satisfying machine. Clamped below instead of dividing
+					// by zero.
+					lost = lost.With(c.Dim)
+					continue
+				}
+				vec.Set(c.Dim, vec.Get(c.Dim)+1/float64(n))
+			}
+		}
+	}
+	if lost != 0 {
+		// The finite sentinel reads as maximally contended (AnyAbove
+		// fires) without +Inf/NaN escaping into telemetry.
+		for _, dim := range constraint.Dims {
+			if lost.Has(dim) {
+				vec.Set(dim, constraint.SupplyLostRatio)
+			}
+		}
+	}
+	return vec
 }
 
 // DownCount reports how many workers are currently failed.
@@ -804,6 +868,7 @@ func (d *Driver) CandidateWorkers(js *JobState) *bitset.Set {
 			if cands, n := matches.SatisfyingWithCount(reduced); n > 0 {
 				js.Constraints = reduced
 				js.ConstraintDims = reduced.Dims()
+				d.soa.queueEpoch++
 				js.Relaxed = true
 				d.collector.RelaxedJobs++
 				return cands
@@ -820,6 +885,7 @@ func (d *Driver) CandidateWorkers(js *JobState) *bitset.Set {
 			if cands, n = matches.SatisfyingWithCount(hard); n > 0 {
 				js.Constraints = hard
 				js.ConstraintDims = hard.Dims()
+				d.soa.queueEpoch++
 				js.Relaxed = true
 				d.collector.RelaxedJobs++
 				return cands
@@ -828,8 +894,11 @@ func (d *Driver) CandidateWorkers(js *JobState) *bitset.Set {
 		js.Relaxed = true
 		d.collector.RelaxedJobs++
 	}
-	js.Constraints = nil
-	js.ConstraintDims = 0
+	if js.Constraints != nil {
+		js.Constraints = nil
+		js.ConstraintDims = 0
+		d.soa.queueEpoch++
+	}
 	return matches.All()
 }
 

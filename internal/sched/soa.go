@@ -34,6 +34,10 @@ type workerSoA struct {
 	// first ReserveWorker call, so runs that never reserve pay exactly one
 	// nil check per dispatch and nothing on placement scans.
 	resStartBy []simulation.Time
+	// queueEpoch counts mutations of the queue CRV's inputs: every queue
+	// push and delete, every failure and recovery, and every constraint
+	// rewrite of a job. Driver.QueueCRV memoizes on it.
+	queueEpoch uint64
 }
 
 // idleEnds marks a free execution slot in workerSoA.runningEnds.

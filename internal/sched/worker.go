@@ -124,6 +124,7 @@ func (w *Worker) QueuedWork() simulation.Time { return w.soa.backlog[w.ID] }
 // placement time.
 func (w *Worker) push(e *Entry) {
 	w.queue = append(w.queue, e)
+	w.soa.queueEpoch++
 }
 
 // removeAt removes and returns the queue entry at index i, releasing its
@@ -154,6 +155,7 @@ func (w *Worker) stealAt(i int) *Entry {
 func (w *Worker) discardAt(i int) *Entry { return w.stealAt(i) }
 
 func (w *Worker) deleteAt(i int) {
+	w.soa.queueEpoch++
 	copy(w.queue[i:], w.queue[i+1:])
 	w.queue[len(w.queue)-1] = nil
 	w.queue = w.queue[:len(w.queue)-1]

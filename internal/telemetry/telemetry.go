@@ -42,7 +42,7 @@ const DefaultCRVThreshold = 0.25
 // (Phoenix's monitor). When a source is supplied, each sample additionally
 // records the scheduler's view — whether its monitor considered the
 // cluster contended and how many workers it marked congested — alongside
-// the recorder's own queue-derived CRV, which is computed identically for
+// the queue-derived CRV (sched.Driver.QueueCRV), which is the same for
 // every scheduler. The methods must be read-only.
 type CRVSource interface {
 	// CRVVector returns the scheduler's CRV as of its last refresh.
@@ -129,9 +129,9 @@ type Sample struct {
 
 	// CRV is the queue-derived Constraint Resource Vector at the sample
 	// time: per dimension, every queued constrained entry contributes
-	// 1/(workers able to satisfy the constraint) — the same demand/supply
-	// ratio Phoenix's monitor computes, but recomputed directly from the
-	// queues so it is comparable across all schedulers.
+	// 1/(live workers able to satisfy the constraint). It is
+	// sched.Driver.QueueCRV, the vector Phoenix's monitor reads, and is
+	// comparable across all schedulers.
 	CRV constraint.Vector
 	// MaxCRVDim is the most contended dimension (meaningless when MaxCRV
 	// is zero).
@@ -311,30 +311,18 @@ func (r *Recorder) tick(now simulation.Time) bool {
 }
 
 // sample appends one snapshot at the given time and resets the interval
-// accumulators.
+// accumulators. The CRV is the driver's memoized QueueCRV, so the tick
+// shares one queue scan with the admission tick and the Phoenix heartbeat
+// that fire at the same instant.
 func (r *Recorder) sample(now simulation.Time) {
-	s := Sample{Time: now}
+	s := Sample{Time: now, CRV: r.d.QueueCRV()}
 
 	var estSum float64
 	var estN int
-	var lost constraint.DimMask
 	for _, w := range r.d.Workers() {
 		for _, e := range w.Queue() {
 			if e.IsProbe() {
 				s.QueuedProbes++
-			}
-			for _, c := range e.Job.Constraints {
-				// Live supply: static satisfying count minus failed
-				// machines, so correlated outages show up in the series.
-				n := r.d.LiveSupplyOne(c)
-				if n == 0 {
-					// Queued demand with zero live supply — clamp to the
-					// documented sentinel after the scan rather than
-					// dividing by zero (see constraint.SupplyLostRatio).
-					lost = lost.With(c.Dim)
-					continue
-				}
-				s.CRV.Set(c.Dim, s.CRV.Get(c.Dim)+1/float64(n))
 			}
 		}
 		s.QueuedEntries += w.QueueLen()
@@ -356,13 +344,6 @@ func (r *Recorder) sample(now simulation.Time) {
 		estN++
 		if wait > s.MaxEstWaitSeconds {
 			s.MaxEstWaitSeconds = wait
-		}
-	}
-	if lost != 0 {
-		for _, dim := range constraint.Dims {
-			if lost.Has(dim) {
-				s.CRV.Set(dim, constraint.SupplyLostRatio)
-			}
 		}
 	}
 	s.MaxCRVDim, s.MaxCRV = s.CRV.Max()

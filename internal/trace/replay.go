@@ -26,7 +26,10 @@ type ReplaySource struct {
 
 	emitted int
 	prev    simulation.Time
-	err     error
+	// lastTask is the last emitted task ID (-1 before the first job), for
+	// Job.Validate's strictly-increasing task-ID check.
+	lastTask int
+	err      error
 }
 
 // NewReplaySource streams the phoenix-trace-v1 JSONL on r at the given
@@ -51,7 +54,7 @@ func NewReplaySource(r io.Reader, rate float64) (*ReplaySource, error) {
 	if h.ShortCutoff <= 0 {
 		return nil, fmt.Errorf("trace: replay: non-positive short cutoff %v", h.ShortCutoff)
 	}
-	return &ReplaySource{dec: dec, h: h, rate: rate}, nil
+	return &ReplaySource{dec: dec, h: h, rate: rate, lastTask: -1}, nil
 }
 
 // OpenReplay opens a trace file for streaming replay; Close releases the
@@ -90,15 +93,17 @@ func (s *ReplaySource) NextJob() (*Job, bool) {
 	}
 	// The driver requires dense IDs and per-job structural invariants but
 	// never looks back at earlier jobs, so validation is per-record here
-	// rather than whole-trace as in Read.
+	// (the same Job.Validate Read's Trace.Validate runs) rather than
+	// whole-trace.
 	if j.ID != s.emitted {
 		s.err = fmt.Errorf("trace: replay: job at position %d has ID %d", s.emitted, j.ID)
 		return nil, false
 	}
-	if len(j.Tasks) == 0 {
-		s.err = fmt.Errorf("trace: replay: job %d has no tasks", j.ID)
+	if err := j.Validate(s.lastTask); err != nil {
+		s.err = fmt.Errorf("trace: replay: %w", err)
 		return nil, false
 	}
+	s.lastTask = j.Tasks[len(j.Tasks)-1].ID
 	j.Arrival = simulation.Time(float64(j.Arrival) / s.rate)
 	if j.Arrival < s.prev {
 		s.err = fmt.Errorf("trace: replay: job %d arrives at %v before predecessor at %v", j.ID, j.Arrival, s.prev)

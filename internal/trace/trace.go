@@ -155,8 +155,8 @@ type Trace struct {
 }
 
 // Validate checks structural invariants: jobs sorted by arrival, dense job
-// IDs, tasks pointing at their jobs, positive durations, and well-formed
-// constraint sets.
+// IDs, task IDs strictly increasing across the trace, and every job valid
+// on its own (Job.Validate).
 func (t *Trace) Validate() error {
 	var prev simulation.Time
 	taskID := -1
@@ -165,40 +165,56 @@ func (t *Trace) Validate() error {
 		if j.ID != i {
 			return fmt.Errorf("trace: job at position %d has ID %d", i, j.ID)
 		}
-		if !j.Placement.Valid() {
-			return fmt.Errorf("trace: job %d has invalid placement %d", j.ID, int(j.Placement))
-		}
 		if j.Arrival < prev {
 			return fmt.Errorf("trace: job %d arrives at %v before predecessor at %v", j.ID, j.Arrival, prev)
 		}
 		prev = j.Arrival
-		if len(j.Tasks) == 0 {
-			return fmt.Errorf("trace: job %d has no tasks", j.ID)
+		if err := j.Validate(taskID); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
-		if j.GangWidth < 0 || j.GangWidth > len(j.Tasks) {
-			return fmt.Errorf("trace: job %d has gang width %d with %d tasks", j.ID, j.GangWidth, len(j.Tasks))
+		taskID = j.Tasks[len(j.Tasks)-1].ID
+	}
+	return nil
+}
+
+// Validate checks the invariants of one job on its own: a known placement,
+// at least one task, a gang width within the task count, a non-negative
+// priority, and tasks that point back at the job, carry dense indices,
+// positive durations and well-formed constraint sets, with IDs strictly
+// increasing from above prevTaskID (the last task ID of the jobs before
+// it; -1 for the first). Trace.Validate and the streaming ReplaySource
+// both call it, so a batch trace and a replayed one are held to the same
+// rules.
+func (j *Job) Validate(prevTaskID int) error {
+	if !j.Placement.Valid() {
+		return fmt.Errorf("job %d has invalid placement %d", j.ID, int(j.Placement))
+	}
+	if len(j.Tasks) == 0 {
+		return fmt.Errorf("job %d has no tasks", j.ID)
+	}
+	if j.GangWidth < 0 || j.GangWidth > len(j.Tasks) {
+		return fmt.Errorf("job %d has gang width %d with %d tasks", j.ID, j.GangWidth, len(j.Tasks))
+	}
+	if j.Priority < 0 {
+		return fmt.Errorf("job %d has negative priority %d", j.ID, j.Priority)
+	}
+	for k := range j.Tasks {
+		task := &j.Tasks[k]
+		if task.JobID != j.ID {
+			return fmt.Errorf("task %d of job %d claims job %d", k, j.ID, task.JobID)
 		}
-		if j.Priority < 0 {
-			return fmt.Errorf("trace: job %d has negative priority %d", j.ID, j.Priority)
+		if task.Index != k {
+			return fmt.Errorf("task at position %d of job %d has index %d", k, j.ID, task.Index)
 		}
-		for k := range j.Tasks {
-			task := &j.Tasks[k]
-			if task.JobID != j.ID {
-				return fmt.Errorf("trace: task %d of job %d claims job %d", k, j.ID, task.JobID)
-			}
-			if task.Index != k {
-				return fmt.Errorf("trace: task at position %d of job %d has index %d", k, j.ID, task.Index)
-			}
-			if task.Duration <= 0 {
-				return fmt.Errorf("trace: task %d of job %d has non-positive duration", k, j.ID)
-			}
-			if task.ID <= taskID {
-				return fmt.Errorf("trace: task IDs not strictly increasing at job %d task %d", j.ID, k)
-			}
-			taskID = task.ID
-			if err := task.Constraints.Validate(); err != nil {
-				return fmt.Errorf("trace: job %d task %d: %w", j.ID, k, err)
-			}
+		if task.Duration <= 0 {
+			return fmt.Errorf("task %d of job %d has non-positive duration", k, j.ID)
+		}
+		if task.ID <= prevTaskID {
+			return fmt.Errorf("task IDs not strictly increasing at job %d task %d", j.ID, k)
+		}
+		prevTaskID = task.ID
+		if err := task.Constraints.Validate(); err != nil {
+			return fmt.Errorf("job %d task %d: %w", j.ID, k, err)
 		}
 	}
 	return nil
