@@ -64,39 +64,32 @@ docs-check:
 	$(GO) run ./cmd/docs-check
 
 # Sharded scale-out smoke: the shard-1 byte-identity and 4-shard battery
-# under the race detector, then a CLI golden diff — a 4-shard run must
-# complete clean and a -shards 1 run must print the exact digest of the
-# unsharded reference.
+# under the race detector, then the CLI invisibility table (TestInvisibility:
+# a -shards 1 run and the real single-shard wrapper must reproduce the
+# unsharded digest), then a 4-shard run that must complete clean.
 sharded:
 	$(GO) test -race -count=1 -run 'TestShard' ./internal/schedulers/sharded/ ./internal/cluster/
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -profile google -scale 0.05 -seed 7 -digest | tee /tmp/sharded-ref.txt
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -shards 1 -profile google -scale 0.05 -seed 7 -digest | tee /tmp/sharded-one.txt
-	diff /tmp/sharded-ref.txt /tmp/sharded-one.txt
+	$(GO) test -count=1 -run 'TestInvisibility' ./cmd/phoenix-sim/
 	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -shards 4 -profile google -scale 0.05 -seed 7 -validate -digest
 
 # Policy plug-in smoke: the pass-through/determinism/invariant batteries
-# under the race detector, then two CLI golden diffs — a zero-fraction run
-# under the full policy stack must print the exact digest of the bare
-# scheduler (the invisibility contract; only the scheduler-name line may
-# differ), and a gang-flavored stacked run must complete with the
-# invariant checker clean.
+# under the race detector, then the CLI invisibility table (TestInvisibility:
+# a zero-fraction run under the full policy stack must reproduce the bare
+# scheduler's digest), then a gang-flavored stacked run that must complete
+# with the invariant checker clean.
 gang:
 	$(GO) test -race -count=1 ./internal/schedulers/policies/
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -profile google -scale 0.05 -seed 7 -digest | grep '^digest' | tee /tmp/gang-ref.txt
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -policies gang,preempt,backfill -profile google -scale 0.05 -seed 7 -digest | grep '^digest' | tee /tmp/gang-wrapped.txt
-	diff /tmp/gang-ref.txt /tmp/gang-wrapped.txt
+	$(GO) test -count=1 -run 'TestInvisibility' ./cmd/phoenix-sim/
 	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -policies gang,backfill -gang-fraction 0.3 -priority-fraction 0.2 -profile google -scale 0.05 -seed 7 -validate -digest
 
 # Admission-control smoke: the stability/determinism/sentinel battery
-# under the race detector, then two CLI checks — an -admission off run
-# must print the exact digest of the plain reference (the off-state
-# invisibility contract), and a feedback-controller run under the
-# supply-loss campaign must complete with the invariant checker clean.
+# under the race detector, then the CLI invisibility table (TestInvisibility:
+# an -admission off run must reproduce the plain digest), then a
+# feedback-controller run under the supply-loss campaign that must
+# complete with the invariant checker clean.
 admission:
 	$(GO) test -race -count=1 ./internal/admission/
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -profile google -scale 0.05 -seed 7 -digest | grep '^digest' | tee /tmp/admission-ref.txt
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -admission off -profile google -scale 0.05 -seed 7 -digest | grep '^digest' | tee /tmp/admission-off.txt
-	diff /tmp/admission-ref.txt /tmp/admission-off.txt
+	$(GO) test -count=1 -run 'TestInvisibility' ./cmd/phoenix-sim/
 	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -admission controller -faults scenarios/supply-loss.json -profile google -scale 0.05 -seed 7 -validate -digest
 
 # Parallel-runner smoke: diff the golden digest corpus, then exercise the

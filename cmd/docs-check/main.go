@@ -36,6 +36,7 @@ import (
 // docs-check with no arguments so this list is the single source of truth.
 var defaultDirs = []string{
 	"internal/admission",
+	"internal/strictjson",
 	"internal/telemetry",
 	"internal/metrics",
 	"internal/constraint",

@@ -76,8 +76,6 @@ import (
 	"github.com/phoenix-sched/phoenix/internal/metrics"
 	"github.com/phoenix-sched/phoenix/internal/profiling"
 	"github.com/phoenix-sched/phoenix/internal/sched"
-	"github.com/phoenix-sched/phoenix/internal/schedulers/policies"
-	"github.com/phoenix-sched/phoenix/internal/schedulers/sharded"
 	"github.com/phoenix-sched/phoenix/internal/simulation"
 	"github.com/phoenix-sched/phoenix/internal/telemetry"
 	"github.com/phoenix-sched/phoenix/internal/trace"
@@ -91,58 +89,99 @@ func main() {
 	}
 }
 
-func run(args []string) (err error) {
+// options is the parsed command line.
+type options struct {
+	schedName, profile, tracePath string
+	scale                         float64
+	nodes                         int
+	seed, traceSeed               uint64
+	load, failRate                float64
+	faultPath                     string
+	validate, digest              bool
+	shards                        int
+	policyCSV                     string
+	gangFrac, prioFrac            float64
+
+	timeseriesPath, reportPath string
+
+	admissionMode, admissionConfig string
+	admissionK, admissionDwell     int
+
+	service                bool
+	replayPath, arrivals   string
+	duration, rate, window float64
+	maxWindows, maxSamples int
+	windowsPath            string
+
+	cpuProfile, memProfile string
+
+	crvThreshold, qwait float64
+	noCRV, noWaitAware  bool
+	reschedule          int
+}
+
+// parseFlags parses the command line; -shards below 1 is an error.
+func parseFlags(args []string) (*options, error) {
+	var o options
 	fs := flag.NewFlagSet("phoenix-sim", flag.ContinueOnError)
-	var (
-		schedName = fs.String("scheduler", "phoenix", "scheduler: phoenix, eagle-c, hawk-c, sparrow-c, yacc-d")
-		profile   = fs.String("profile", "google", "workload profile: google, yahoo, cloudera")
-		scale     = fs.Float64("scale", 0.1, "workload scale (1.0 = paper scale)")
-		tracePath = fs.String("trace", "", "replay a JSONL trace instead of generating one")
-		nodes     = fs.Int("nodes", 0, "cluster size override (default: the trace's calibrated size)")
-		seed      = fs.Uint64("seed", 1, "simulation seed")
-		traceSeed = fs.Uint64("trace-seed", 1000, "trace generation seed")
-		load      = fs.Float64("load", 0, "target offered load override (0 = profile default)")
-		failRate  = fs.Float64("failure-rate", 0, "worker failures per node-hour (0 = off)")
-		faultPath = fs.String("faults", "", "run a fault-campaign scenario from this JSON file (overrides -failure-rate)")
-		doCheck   = fs.Bool("validate", false, "run the invariant checker and fail on any violation")
-		doDigest  = fs.Bool("digest", false, "print the run digest (same seed => same digest)")
-		shards    = fs.Int("shards", 1, "run the scheduler sharded over N cluster partitions (1 = unsharded; digests identical at 1)")
-		policyCSV = fs.String("policies", "", "policy plug-ins wrapped around the scheduler, comma-separated innermost-first: gang, preempt, backfill (e.g. gang,backfill = backfill(gang(s)))")
-		gangFrac  = fs.Float64("gang-fraction", 0, "fraction of long multi-task jobs generated as gangs (synthetic workloads only)")
-		prioFrac  = fs.Float64("priority-fraction", 0, "fraction of long jobs generated at high priority (synthetic workloads only)")
+	fs.StringVar(&o.schedName, "scheduler", "phoenix", "scheduler: phoenix, eagle-c, hawk-c, sparrow-c, yacc-d")
+	fs.StringVar(&o.profile, "profile", "google", "workload profile: google, yahoo, cloudera")
+	fs.Float64Var(&o.scale, "scale", 0.1, "workload scale (1.0 = paper scale)")
+	fs.StringVar(&o.tracePath, "trace", "", "replay a JSONL trace instead of generating one")
+	fs.IntVar(&o.nodes, "nodes", 0, "cluster size override (default: the trace's calibrated size)")
+	fs.Uint64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.Uint64Var(&o.traceSeed, "trace-seed", 1000, "trace generation seed")
+	fs.Float64Var(&o.load, "load", 0, "target offered load override (0 = profile default)")
+	fs.Float64Var(&o.failRate, "failure-rate", 0, "worker failures per node-hour (0 = off)")
+	fs.StringVar(&o.faultPath, "faults", "", "run a fault-campaign scenario from this JSON file (overrides -failure-rate)")
+	fs.BoolVar(&o.validate, "validate", false, "run the invariant checker and fail on any violation")
+	fs.BoolVar(&o.digest, "digest", false, "print the run digest (same seed => same digest)")
+	fs.IntVar(&o.shards, "shards", 1, "run the scheduler sharded over N cluster partitions (1 = unsharded; digests identical at 1)")
+	fs.StringVar(&o.policyCSV, "policies", "", "policy plug-ins wrapped around the scheduler, comma-separated innermost-first: gang, preempt, backfill (e.g. gang,backfill = backfill(gang(s)))")
+	fs.Float64Var(&o.gangFrac, "gang-fraction", 0, "fraction of long multi-task jobs generated as gangs (synthetic workloads only)")
+	fs.Float64Var(&o.prioFrac, "priority-fraction", 0, "fraction of long jobs generated at high priority (synthetic workloads only)")
 
-		timeseriesPath = fs.String("timeseries", "", "write a per-interval telemetry CSV (CRV, waits, queue depths) to this file")
-		reportPath     = fs.String("report", "", "write a Markdown run report to this file")
+	fs.StringVar(&o.timeseriesPath, "timeseries", "", "write a per-interval telemetry CSV (CRV, waits, queue depths) to this file")
+	fs.StringVar(&o.reportPath, "report", "", "write a Markdown run report to this file")
 
-		admissionMode   = fs.String("admission", "off", "admission control: off, controller (CRV feedback loop), static (always-relax baseline)")
-		admissionK      = fs.Int("admission-k", 0, "admission controller: consecutive over-threshold beats before relaxing (0 = default)")
-		admissionDwell  = fs.Int("admission-dwell", -1, "admission controller: minimum beats between transitions of one dimension (-1 = default)")
-		admissionConfig = fs.String("admission-config", "", "admission controller: load thresholds/streaks from this JSON file (flags override)")
+	fs.StringVar(&o.admissionMode, "admission", "off", "admission control: off, controller (CRV feedback loop), static (always-relax baseline)")
+	fs.IntVar(&o.admissionK, "admission-k", 0, "admission controller: consecutive over-threshold beats before relaxing (0 = default)")
+	fs.IntVar(&o.admissionDwell, "admission-dwell", -1, "admission controller: minimum beats between transitions of one dimension (-1 = default)")
+	fs.StringVar(&o.admissionConfig, "admission-config", "", "admission controller: load thresholds/streaks from this JSON file (flags override)")
 
-		service     = fs.Bool("service", false, "open-loop live-service mode: stream arrivals instead of replaying a trace")
-		replayPath  = fs.String("replay", "", "service mode: stream this recorded JSONL trace open-loop at -rate instead of synthetic arrivals")
-		arrivals    = fs.String("arrivals", "poisson", "service arrival process: poisson, diurnal, bursty")
-		duration    = fs.Float64("duration", 600, "service admission horizon in simulated seconds (0 = until interrupted)")
-		rate        = fs.Float64("rate", 1.0, "service arrival-rate multiplier (1.0 = the profile's calibrated load)")
-		window      = fs.Float64("window", 30, "service tumbling-window length in simulated seconds")
-		maxWindows  = fs.Int("max-windows", 0, "ring-buffer bound on retained windows (0 = retain all, or auto-bound when -duration 0)")
-		maxSamples  = fs.Int("max-samples", 0, "ring-buffer bound on retained telemetry samples (0 = retain all, or auto-bound when -duration 0)")
-		windowsPath = fs.String("windows", "", "write the per-window percentile CSV to this file")
+	fs.BoolVar(&o.service, "service", false, "open-loop live-service mode: stream arrivals instead of replaying a trace")
+	fs.StringVar(&o.replayPath, "replay", "", "service mode: stream this recorded JSONL trace open-loop at -rate instead of synthetic arrivals")
+	fs.StringVar(&o.arrivals, "arrivals", "poisson", "service arrival process: poisson, diurnal, bursty")
+	fs.Float64Var(&o.duration, "duration", 600, "service admission horizon in simulated seconds (0 = until interrupted)")
+	fs.Float64Var(&o.rate, "rate", 1.0, "service arrival-rate multiplier (1.0 = the profile's calibrated load)")
+	fs.Float64Var(&o.window, "window", 30, "service tumbling-window length in simulated seconds")
+	fs.IntVar(&o.maxWindows, "max-windows", 0, "ring-buffer bound on retained windows (0 = retain all, or auto-bound when -duration 0)")
+	fs.IntVar(&o.maxSamples, "max-samples", 0, "ring-buffer bound on retained telemetry samples (0 = retain all, or auto-bound when -duration 0)")
+	fs.StringVar(&o.windowsPath, "windows", "", "write the per-window percentile CSV to this file")
 
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 
-		crvThreshold = fs.Float64("crv-threshold", 0, "Phoenix CRV contention threshold override (0 = default)")
-		qwait        = fs.Float64("qwait", 0, "Phoenix Qwait threshold seconds override (0 = default)")
-		noCRV        = fs.Bool("no-crv-reorder", false, "disable Phoenix CRV queue reordering")
-		noWaitAware  = fs.Bool("no-waitaware", false, "disable Phoenix wait-aware probing")
-		reschedule   = fs.Int("reschedule-budget", -1, "Phoenix per-worker probe reschedule budget (-1 = default)")
-	)
+	fs.Float64Var(&o.crvThreshold, "crv-threshold", 0, "Phoenix CRV contention threshold override (0 = default)")
+	fs.Float64Var(&o.qwait, "qwait", 0, "Phoenix Qwait threshold seconds override (0 = default)")
+	fs.BoolVar(&o.noCRV, "no-crv-reorder", false, "disable Phoenix CRV queue reordering")
+	fs.BoolVar(&o.noWaitAware, "no-waitaware", false, "disable Phoenix wait-aware probing")
+	fs.IntVar(&o.reschedule, "reschedule-budget", -1, "Phoenix per-worker probe reschedule budget (-1 = default)")
 	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.shards < 1 {
+		return nil, fmt.Errorf("-shards %d must be >= 1 (1 = unsharded)", o.shards)
+	}
+	return &o, nil
+}
+
+func run(args []string) (err error) {
+	o, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := profiling.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
 		return err
 	}
@@ -151,319 +190,32 @@ func run(args []string) (err error) {
 			err = perr
 		}
 	}()
-
-	prof, err := cluster.ProfileByName(*profile)
+	inv, err := o.invocation()
 	if err != nil {
 		return err
 	}
-
-	if *replayPath != "" && !*service {
-		return fmt.Errorf("-replay streams a recorded trace open-loop; it requires -service")
+	if inv.replay != nil {
+		defer inv.replay.Close()
 	}
-	var tr *trace.Trace
-	var svcCfg trace.GeneratorConfig
-	var replay *trace.ReplaySource
-	clusterSize := *nodes
-	if *service {
-		if *tracePath != "" {
-			return fmt.Errorf("-service streams synthetic arrivals; -trace is batch-only (use -replay to stream a recorded trace)")
-		}
-		if *replayPath != "" {
-			replay, err = trace.OpenReplay(*replayPath, *rate)
-			if err != nil {
-				return err
-			}
-			defer replay.Close()
-			if clusterSize == 0 {
-				clusterSize = replay.NumNodes()
-			}
-		} else {
-			cfg, err := trace.ConfigByName(*profile, *scale)
-			if err != nil {
-				return err
-			}
-			if *load > 0 {
-				cfg.TargetLoad = *load
-			}
-			cfg.GangFraction = *gangFrac
-			cfg.PriorityFraction = *prioFrac
-			if clusterSize == 0 {
-				clusterSize = cfg.NumNodes
-			}
-			svcCfg = cfg
-		}
-	} else if *tracePath != "" {
-		tr, err = trace.ReadFile(*tracePath)
-		if err != nil {
-			return err
-		}
-		if clusterSize == 0 {
-			clusterSize = tr.NumNodes
-		}
-	} else {
-		cfg, err := trace.ConfigByName(*profile, *scale)
-		if err != nil {
-			return err
-		}
-		if *load > 0 {
-			cfg.TargetLoad = *load
-		}
-		cfg.GangFraction = *gangFrac
-		cfg.PriorityFraction = *prioFrac
-		if clusterSize == 0 {
-			clusterSize = cfg.NumNodes
-		}
-		anchor, err := prof.GenerateCluster(maxInt(clusterSize, cfg.NumNodes), simulation.NewRNG(42).Stream("cli/machines"))
-		if err != nil {
-			return err
-		}
-		tr, err = trace.Generate(cfg, anchor, *traceSeed)
-		if err != nil {
-			return err
-		}
-	}
-
-	cl, err := prof.GenerateCluster(clusterSize, simulation.NewRNG(42).Stream("cli/machines"))
+	a, err := experiments.Build(inv.spec)
 	if err != nil {
 		return err
 	}
-
-	opts := experiments.DefaultOptions()
-	if *crvThreshold > 0 {
-		opts.Phoenix.CRVThreshold = *crvThreshold
+	if o.service {
+		return inv.runService(a)
 	}
-	if *qwait > 0 {
-		opts.Phoenix.QwaitThresholdSeconds = *qwait
-	}
-	if *noCRV {
-		opts.Phoenix.CRVReordering = false
-	}
-	if *noWaitAware {
-		opts.Phoenix.WaitAwareProbing = false
-	}
-	if *reschedule >= 0 {
-		opts.Phoenix.RescheduleBudget = *reschedule
-	}
-	var s sched.Scheduler
-	if *shards > 1 {
-		// Wrap the selected scheduler per shard; the factory routes through
-		// opts.NewScheduler so Phoenix option overrides reach every shard
-		// instance.
-		s, err = sharded.NewWith(*schedName, *shards, func() (sched.Scheduler, error) {
-			return opts.NewScheduler(*schedName)
-		})
-	} else {
-		s, err = opts.NewScheduler(*schedName)
-	}
-	if err != nil {
-		return err
-	}
-	if *policyCSV != "" {
-		names := strings.Split(*policyCSV, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		s, err = policies.Wrap(s, names)
-		if err != nil {
-			return err
-		}
-	}
-
-	var scenario *faults.Scenario
-	if *faultPath != "" {
-		scenario, err = faults.LoadScenario(*faultPath)
-		if err != nil {
-			return err
-		}
-		if *failRate > 0 {
-			// Random churn and a scripted campaign would double-fail
-			// workers in ways neither model intends; the explicit
-			// scenario wins.
-			fmt.Fprintf(os.Stderr, "phoenix-sim: warning: -failure-rate %.3g ignored, scenario %s takes precedence\n", *failRate, scenario.Name)
-			*failRate = 0
-		}
-	}
-
-	simCfg := sched.DefaultConfig()
-	simCfg.FailureRatePerHour = *failRate
-	if *service {
-		return runService(serviceParams{
-			cfg:             svcCfg,
-			simCfg:          simCfg,
-			cl:              cl,
-			sched:           s,
-			scenario:        scenario,
-			replay:          replay,
-			arrivals:        trace.ArrivalKind(*arrivals),
-			rate:            *rate,
-			durationSec:     *duration,
-			windowSec:       *window,
-			maxWindows:      *maxWindows,
-			maxSamples:      *maxSamples,
-			seed:            *seed,
-			traceSeed:       *traceSeed,
-			crvThreshold:    opts.Phoenix.CRVThreshold,
-			validate:        *doCheck,
-			digest:          *doDigest,
-			windowsPath:     *windowsPath,
-			timeseriesPath:  *timeseriesPath,
-			reportPath:      *reportPath,
-			admissionMode:   *admissionMode,
-			admissionK:      *admissionK,
-			admissionDwell:  *admissionDwell,
-			admissionConfig: *admissionConfig,
-		})
-	}
-	d, err := sched.NewDriver(simCfg, cl, tr, s, *seed)
-	if err != nil {
-		return err
-	}
-	var chk *validate.Checker
-	if *doCheck {
-		chk = validate.Attach(d)
-	}
-	var camp *faults.Campaign
-	if scenario != nil {
-		camp, err = faults.Attach(d, scenario)
-		if err != nil {
-			return err
-		}
-	}
-	admSrc, err := attachAdmission(d, *admissionMode, *admissionConfig, *admissionK, *admissionDwell)
-	if err != nil {
-		return err
-	}
-	var rec *telemetry.Recorder
-	if *timeseriesPath != "" || *reportPath != "" {
-		topts := telemetry.Options{CRVThreshold: opts.Phoenix.CRVThreshold, Admission: admSrc}
-		if src, ok := s.(telemetry.CRVSource); ok {
-			topts.CRV = src
-		}
-		if g, ok := s.(telemetry.GangSource); ok {
-			topts.Gang = g
-		}
-		rec = telemetry.Attach(d, topts)
-	}
-	res, err := d.Run()
-	if err != nil {
-		return err
-	}
-	printResult(tr, cl, res)
-	if *timeseriesPath != "" {
-		if err := os.WriteFile(*timeseriesPath, []byte(rec.CSV()), 0o644); err != nil {
-			return err
-		}
-	}
-	if *reportPath != "" {
-		meta := telemetry.Meta{
-			Scheduler:   res.Scheduler,
-			Workload:    tr.Name,
-			Jobs:        len(tr.Jobs),
-			Tasks:       tr.NumTasks(),
-			Workers:     res.NumWorkers,
-			OfferedLoad: tr.OfferedLoad(cl.Size()),
-			Seed:        *seed,
-			Span:        res.Span,
-			Utilization: res.Utilization,
-		}
-		if camp != nil {
-			for _, w := range camp.Timeline() {
-				meta.Faults = append(meta.Faults, telemetry.FaultWindow{
-					Kind:    string(w.Kind),
-					From:    w.From,
-					To:      w.To,
-					Workers: w.Workers,
-					Detail:  w.Detail,
-				})
-			}
-		}
-		if err := os.WriteFile(*reportPath, []byte(rec.Report(meta, res.Collector)), 0o644); err != nil {
-			return err
-		}
-	}
-	if *doDigest {
-		fmt.Printf("digest         %016x\n", res.Collector.Digest())
-	}
-	if chk != nil {
-		if err := chk.Finalize(); err != nil {
-			return err
-		}
-		fmt.Printf("validate       ok (%d events, 0 violations)\n", chk.Events())
-	}
-	return nil
+	return inv.runBatch(a)
 }
 
-// serviceParams carries everything the open-loop service path needs out of
-// the shared flag parsing.
-type serviceParams struct {
-	cfg      trace.GeneratorConfig
-	simCfg   sched.Config
-	cl       *cluster.Cluster
-	sched    sched.Scheduler
-	scenario *faults.Scenario
-	// replay streams a recorded trace instead of synthetic arrivals (the
-	// -replay flag); when set, cfg and arrivals are unused.
+// invocation is one command line resolved into the run it asks for: the
+// Spec to build, plus what the service report needs to name its workload.
+type invocation struct {
+	*options
+	spec experiments.Spec
+	// synth is the synthetic service workload; replay, when set, streams
+	// a recorded trace instead (the -replay flag).
+	synth  trace.GeneratorConfig
 	replay *trace.ReplaySource
-
-	arrivals    trace.ArrivalKind
-	rate        float64
-	durationSec float64
-	windowSec   float64
-	maxWindows  int
-	maxSamples  int
-	seed        uint64
-	traceSeed   uint64
-
-	crvThreshold   float64
-	validate       bool
-	digest         bool
-	windowsPath    string
-	timeseriesPath string
-	reportPath     string
-
-	admissionMode   string
-	admissionK      int
-	admissionDwell  int
-	admissionConfig string
-}
-
-// attachAdmission wires the requested admission-control mode to d and
-// returns its telemetry source (nil when off). The controller starts from
-// DefaultConfig, the optional -admission-config JSON overrides it, and the
-// -admission-k / -admission-dwell flags override both; raising k past the
-// configured tighten streak raises the streak with it, keeping recovery no
-// faster than relaxation.
-func attachAdmission(d *sched.Driver, mode, configPath string, k, dwell int) (telemetry.AdmissionSource, error) {
-	switch mode {
-	case "", "off":
-		return nil, nil
-	case "static":
-		return admission.AttachStatic(d), nil
-	case "controller":
-		cfg := admission.DefaultConfig()
-		if configPath != "" {
-			var err error
-			cfg, err = admission.LoadConfig(configPath)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if k > 0 {
-			cfg.RelaxBeats = k
-			if cfg.TightenBeats < k {
-				cfg.TightenBeats = k
-			}
-		}
-		if dwell >= 0 {
-			cfg.DwellBeats = dwell
-		}
-		ctl, err := admission.Attach(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return ctl, nil
-	}
-	return nil, fmt.Errorf("unknown -admission mode %q (off, controller, static)", mode)
 }
 
 // Ring bounds applied to unbounded-horizon service runs when the caller did
@@ -474,154 +226,302 @@ const (
 	autoMaxSamples = 4096
 )
 
+// invocation loads or generates the workload and cluster and maps every
+// flag onto the Spec. It is the CLI's whole flag-to-Spec translation.
+func (o *options) invocation() (_ *invocation, err error) {
+	prof, err := cluster.ProfileByName(o.profile)
+	if err != nil {
+		return nil, err
+	}
+	if o.replayPath != "" && !o.service {
+		return nil, fmt.Errorf("-replay streams a recorded trace open-loop; it requires -service")
+	}
+	inv := &invocation{options: o}
+	defer func() {
+		if err != nil && inv.replay != nil {
+			inv.replay.Close()
+		}
+	}()
+	var tr *trace.Trace
+	clusterSize := o.nodes
+	switch {
+	case o.service && o.tracePath != "":
+		return nil, fmt.Errorf("-service streams synthetic arrivals; -trace is batch-only (use -replay to stream a recorded trace)")
+	case o.service && o.replayPath != "":
+		if inv.replay, err = trace.OpenReplay(o.replayPath, o.rate); err != nil {
+			return nil, err
+		}
+		if clusterSize == 0 {
+			clusterSize = inv.replay.NumNodes()
+		}
+	case o.tracePath != "":
+		if tr, err = trace.ReadFile(o.tracePath); err != nil {
+			return nil, err
+		}
+		if clusterSize == 0 {
+			clusterSize = tr.NumNodes
+		}
+	default:
+		cfg, err := trace.ConfigByName(o.profile, o.scale)
+		if err != nil {
+			return nil, err
+		}
+		if o.load > 0 {
+			cfg.TargetLoad = o.load
+		}
+		cfg.GangFraction = o.gangFrac
+		cfg.PriorityFraction = o.prioFrac
+		if clusterSize == 0 {
+			clusterSize = cfg.NumNodes
+		}
+		inv.synth = cfg
+		if !o.service {
+			anchor, err := prof.GenerateCluster(max(clusterSize, cfg.NumNodes), simulation.NewRNG(42).Stream("cli/machines"))
+			if err != nil {
+				return nil, err
+			}
+			if tr, err = trace.Generate(cfg, anchor, o.traceSeed); err != nil {
+				return nil, err
+			}
+		}
+	}
+	cl, err := prof.GenerateCluster(clusterSize, simulation.NewRNG(42).Stream("cli/machines"))
+	if err != nil {
+		return nil, err
+	}
+
+	spec := experiments.Spec{
+		Config:    sched.DefaultConfig(),
+		Cluster:   cl,
+		Seed:      o.seed,
+		Trace:     tr,
+		Scheduler: o.schedName,
+		Phoenix:   experiments.DefaultOptions().Phoenix,
+		Admission: o.admissionMode,
+		Validate:  o.validate,
+	}
+	if o.crvThreshold > 0 {
+		spec.Phoenix.CRVThreshold = o.crvThreshold
+	}
+	if o.qwait > 0 {
+		spec.Phoenix.QwaitThresholdSeconds = o.qwait
+	}
+	if o.noCRV {
+		spec.Phoenix.CRVReordering = false
+	}
+	if o.noWaitAware {
+		spec.Phoenix.WaitAwareProbing = false
+	}
+	if o.reschedule >= 0 {
+		spec.Phoenix.RescheduleBudget = o.reschedule
+	}
+	if o.shards > 1 {
+		spec.Shards = o.shards
+	}
+	if o.policyCSV != "" {
+		for _, name := range strings.Split(o.policyCSV, ",") {
+			spec.Policies = append(spec.Policies, strings.TrimSpace(name))
+		}
+	}
+	spec.Config.FailureRatePerHour = o.failRate
+	if o.faultPath != "" {
+		if spec.Faults, err = faults.LoadScenario(o.faultPath); err != nil {
+			return nil, err
+		}
+		if o.failRate > 0 {
+			// Random churn and a scripted campaign would double-fail
+			// workers in ways neither model intends; the explicit
+			// scenario wins.
+			fmt.Fprintf(os.Stderr, "phoenix-sim: warning: -failure-rate %.3g ignored, scenario %s takes precedence\n", o.failRate, spec.Faults.Name)
+			spec.Config.FailureRatePerHour = 0
+		}
+	}
+	if spec.AdmissionConfig, err = o.admissionSettings(); err != nil {
+		return nil, err
+	}
+	if o.timeseriesPath != "" || o.reportPath != "" {
+		spec.Telemetry = &telemetry.Options{}
+	}
+	if o.service {
+		if err := inv.serviceSpec(&spec); err != nil {
+			return nil, err
+		}
+	}
+	inv.spec = spec
+	return inv, nil
+}
+
+// admissionSettings resolves the controller's configuration: DefaultConfig,
+// overridden by the optional -admission-config JSON, overridden in turn by
+// -admission-k / -admission-dwell. Raising k past the configured tighten
+// streak raises the streak with it, keeping recovery no faster than
+// relaxation. Only the controller mode reads a configuration.
+func (o *options) admissionSettings() (admission.Config, error) {
+	switch o.admissionMode {
+	case "", "off", "static":
+		return admission.Config{}, nil
+	case "controller":
+	default:
+		return admission.Config{}, fmt.Errorf("unknown -admission mode %q (off, controller, static)", o.admissionMode)
+	}
+	cfg := admission.DefaultConfig()
+	if o.admissionConfig != "" {
+		var err error
+		if cfg, err = admission.LoadConfig(o.admissionConfig); err != nil {
+			return admission.Config{}, err
+		}
+	}
+	if o.admissionK > 0 {
+		cfg.RelaxBeats = o.admissionK
+		cfg.TightenBeats = max(cfg.TightenBeats, o.admissionK)
+	}
+	if o.admissionDwell >= 0 {
+		cfg.DwellBeats = o.admissionDwell
+	}
+	return cfg, nil
+}
+
+// serviceSpec completes spec for an open-loop service run: the job source,
+// the window recorder, ring bounds on unbounded horizons, and bounded job
+// records unless a run report needs them for its class-percentile tables
+// (the digest is identical either way).
+func (inv *invocation) serviceSpec(spec *experiments.Spec) error {
+	if inv.duration < 0 {
+		return fmt.Errorf("-duration %v must be >= 0", inv.duration)
+	}
+	if inv.window <= 0 {
+		return fmt.Errorf("-window %v must be positive", inv.window)
+	}
+	maxWindows, maxSamples := inv.maxWindows, inv.maxSamples
+	if inv.duration == 0 {
+		if maxWindows == 0 {
+			maxWindows = autoMaxWindows
+		}
+		if maxSamples == 0 {
+			maxSamples = autoMaxSamples
+		}
+	}
+	if inv.replay != nil {
+		spec.Source = inv.replay
+	} else {
+		src, err := trace.NewArrivalSource(inv.synth, trace.ArrivalConfig{
+			Kind:           trace.ArrivalKind(inv.arrivals),
+			RateMultiplier: inv.rate,
+		}, spec.Cluster, inv.traceSeed)
+		if err != nil {
+			return err
+		}
+		spec.Source = src
+	}
+	spec.Windows = &telemetry.WindowOptions{
+		Interval:   simulation.FromSeconds(inv.window),
+		MaxWindows: maxWindows,
+	}
+	if spec.Telemetry != nil {
+		spec.Telemetry.MaxSamples = maxSamples
+	}
+	spec.DropJobRecords = inv.reportPath == ""
+	return nil
+}
+
+// runBatch runs a trace-driven assembly and prints and writes its outcome.
+func (inv *invocation) runBatch(a *experiments.Assembly) error {
+	res, err := a.Run(context.Background())
+	if err != nil {
+		return err
+	}
+	printResult(a.Spec.Trace, a.Spec.Cluster, res)
+	meta := func() telemetry.Meta { return a.Meta(res) }
+	if err := inv.writeTelemetry(a.Recorder, res.Collector, meta); err != nil {
+		return err
+	}
+	inv.printTail(res.Collector.Digest(), a.Checker)
+	return nil
+}
+
 // runService executes one open-loop service run: continuous arrivals, a
 // fixed (or unbounded) admission horizon, graceful drain on SIGINT/SIGTERM,
-// windowed percentile telemetry, and bounded memory regardless of horizon
-// (job records fold into a streaming digest instead of being retained).
-func runService(p serviceParams) error {
-	if p.durationSec < 0 {
-		return fmt.Errorf("-duration %v must be >= 0", p.durationSec)
-	}
-	if p.windowSec <= 0 {
-		return fmt.Errorf("-window %v must be positive", p.windowSec)
-	}
-	unbounded := p.durationSec == 0
-	if unbounded && p.maxWindows == 0 {
-		p.maxWindows = autoMaxWindows
-	}
-	if unbounded && p.maxSamples == 0 {
-		p.maxSamples = autoMaxSamples
-	}
-
-	var src sched.JobSource
-	var err error
-	if p.replay != nil {
-		src = p.replay
-	} else {
-		src, err = trace.NewArrivalSource(p.cfg, trace.ArrivalConfig{
-			Kind:           p.arrivals,
-			RateMultiplier: p.rate,
-		}, p.cl, p.traceSeed)
-		if err != nil {
-			return err
-		}
-	}
-	d, err := sched.NewServiceDriver(p.simCfg, p.cl, src, p.sched, p.seed)
-	if err != nil {
-		return err
-	}
-	// Bounded memory by default; a run report needs the per-job records
-	// for its class-percentile tables. The digest is identical either way.
-	if p.reportPath == "" {
-		d.Collector().DropJobRecords()
-	}
-
-	var chk *validate.Checker
-	if p.validate {
-		chk = validate.Attach(d)
-	}
-	var camp *faults.Campaign
-	if p.scenario != nil {
-		camp, err = faults.Attach(d, p.scenario)
-		if err != nil {
-			return err
-		}
-	}
-	admSrc, err := attachAdmission(d, p.admissionMode, p.admissionConfig, p.admissionK, p.admissionDwell)
-	if err != nil {
-		return err
-	}
-	wr := telemetry.AttachWindows(d, telemetry.WindowOptions{
-		Interval:   simulation.FromSeconds(p.windowSec),
-		MaxWindows: p.maxWindows,
-	})
-	var rec *telemetry.Recorder
-	if p.timeseriesPath != "" || p.reportPath != "" {
-		topts := telemetry.Options{CRVThreshold: p.crvThreshold, MaxSamples: p.maxSamples, Admission: admSrc}
-		if src, ok := p.sched.(telemetry.CRVSource); ok {
-			topts.CRV = src
-		}
-		if g, ok := p.sched.(telemetry.GangSource); ok {
-			topts.Gang = g
-		}
-		rec = telemetry.Attach(d, topts)
-	}
-
+// windowed percentile telemetry, and bounded memory regardless of horizon.
+func (inv *invocation) runService(a *experiments.Assembly) error {
 	// Ctrl-C triggers the graceful drain: admission stops, queues run
 	// down, the final partial window flushes, and the summary still prints.
 	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancelSignals()
-	res, err := d.RunService(ctx, simulation.FromSeconds(p.durationSec))
-	if err != nil {
+	res, err := a.RunService(ctx, simulation.FromSeconds(inv.duration))
+	if res == nil {
 		return err
 	}
-	if p.replay != nil {
-		if rerr := p.replay.Err(); rerr != nil {
+	if inv.replay != nil {
+		if rerr := inv.replay.Err(); rerr != nil {
 			return rerr
 		}
 	}
-	printServiceResult(p, src, wr, res)
+	inv.printServiceResult(a.Spec.Source, a.Windows, res)
 
-	if p.windowsPath != "" {
-		if err := os.WriteFile(p.windowsPath, []byte(wr.WindowCSV()), 0o644); err != nil {
+	if inv.windowsPath != "" {
+		if err := os.WriteFile(inv.windowsPath, []byte(a.Windows.WindowCSV()), 0o644); err != nil {
 			return err
 		}
 	}
-	if p.timeseriesPath != "" {
-		if err := os.WriteFile(p.timeseriesPath, []byte(rec.CSV()), 0o644); err != nil {
-			return err
-		}
-	}
-	if p.reportPath != "" {
+	meta := func() telemetry.Meta {
 		tasks := 0
 		for i := range res.Collector.Jobs() {
 			tasks += res.Collector.Jobs()[i].NumTasks
 		}
-		workload := fmt.Sprintf("service/%s/%s", p.cfg.Name, p.arrivals)
-		offered := p.rate * p.cfg.TargetLoad
-		if p.replay != nil {
-			workload = fmt.Sprintf("replay/%s", p.replay.Name())
-			offered = p.rate
+		workload := fmt.Sprintf("service/%s/%s", inv.synth.Name, inv.arrivals)
+		offered := inv.rate * inv.synth.TargetLoad
+		if inv.replay != nil {
+			workload = fmt.Sprintf("replay/%s", inv.replay.Name())
+			offered = inv.rate
 		}
-		meta := telemetry.Meta{
+		return telemetry.Meta{
 			Scheduler:   res.Scheduler,
 			Workload:    workload,
 			Jobs:        res.JobsAdmitted,
 			Tasks:       tasks,
 			Workers:     res.NumWorkers,
 			OfferedLoad: offered,
-			Seed:        p.seed,
+			Seed:        inv.seed,
 			Span:        res.Span,
 			Utilization: res.Utilization,
+			Faults:      a.FaultWindows(),
 		}
-		if camp != nil {
-			for _, w := range camp.Timeline() {
-				meta.Faults = append(meta.Faults, telemetry.FaultWindow{
-					Kind:    string(w.Kind),
-					From:    w.From,
-					To:      w.To,
-					Workers: w.Workers,
-					Detail:  w.Detail,
-				})
-			}
-		}
-		if err := os.WriteFile(p.reportPath, []byte(rec.Report(meta, res.Collector)), 0o644); err != nil {
+	}
+	if err := inv.writeTelemetry(a.Recorder, res.Collector, meta); err != nil {
+		return err
+	}
+	inv.printTail(res.Collector.ServiceDigest(), a.Checker)
+	return nil
+}
+
+// writeTelemetry writes the -timeseries CSV and the -report Markdown that
+// were asked for; meta is only evaluated for a report.
+func (o *options) writeTelemetry(rec *telemetry.Recorder, c *metrics.Collector, meta func() telemetry.Meta) error {
+	if o.timeseriesPath != "" {
+		if err := os.WriteFile(o.timeseriesPath, []byte(rec.CSV()), 0o644); err != nil {
 			return err
 		}
 	}
-	if p.digest {
-		fmt.Printf("digest         %016x\n", res.Collector.ServiceDigest())
-	}
-	if chk != nil {
-		if err := chk.Finalize(); err != nil {
+	if o.reportPath != "" {
+		if err := os.WriteFile(o.reportPath, []byte(rec.Report(meta(), c)), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("validate       ok (%d events, 0 violations)\n", chk.Events())
 	}
 	return nil
 }
 
-func printServiceResult(p serviceParams, src sched.JobSource, wr *telemetry.WindowRecorder, res *sched.ServiceResult) {
+// printTail prints the -digest line and, for a checked run (which has
+// already passed by the time it prints), the validation summary.
+func (o *options) printTail(digest uint64, chk *validate.Checker) {
+	if o.digest {
+		fmt.Printf("digest         %016x\n", digest)
+	}
+	if chk != nil {
+		fmt.Printf("validate       ok (%d events, 0 violations)\n", chk.Events())
+	}
+}
+
+func (o *options) printServiceResult(src sched.JobSource, wr *telemetry.WindowRecorder, res *sched.ServiceResult) {
 	c := res.Collector
 	fmt.Printf("scheduler      %s\n", res.Scheduler)
 	fmt.Printf("cluster        %d workers\n", res.NumWorkers)
@@ -635,7 +535,7 @@ func printServiceResult(p serviceParams, src sched.JobSource, wr *telemetry.Wind
 			s.Name(), s.Rate(), s.Emitted(), s.NumJobs(), horizon)
 	case *trace.ArrivalSource:
 		fmt.Printf("arrivals       %s x%.2f (base %.2f jobs/s), %s\n",
-			p.arrivals, p.rate, s.BaseRate(), horizon)
+			o.arrivals, o.rate, s.BaseRate(), horizon)
 	}
 	ending := "horizon reached"
 	if res.Cancelled {
@@ -679,11 +579,4 @@ func printResult(tr *trace.Trace, cl *cluster.Cluster, res *sched.Result) {
 	fmt.Println()
 	fmt.Printf("probes=%d reordered=%d crv_reordered=%d stolen=%d rescheduled=%d relaxed_jobs=%d\n",
 		c.Probes, c.ReorderedTasks, c.CRVReorderedTasks, c.StolenTasks, c.RescheduledProbes, c.RelaxedJobs)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

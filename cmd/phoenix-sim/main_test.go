@@ -98,6 +98,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-notaflag"}); err == nil {
 		t.Error("bad flag accepted")
 	}
+	for _, n := range []string{"0", "-3"} {
+		if err := run([]string{"-shards", n, "-scale", "0.01"}); err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Errorf("-shards %s: error %v, want one naming -shards", n, err)
+		}
+	}
 }
 
 // TestRunReplayRejectsHostileJobs streams two-job traces whose second job

@@ -1,13 +1,6 @@
 package admission
 
-import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"strings"
-)
+import "github.com/phoenix-sched/phoenix/internal/strictjson"
 
 // ParseConfig decodes and validates a controller configuration from JSON.
 // Unknown fields are rejected (a typoed threshold must not silently become
@@ -15,15 +8,9 @@ import (
 // offending line and column of the document — the same contract as
 // faults.ParseScenario.
 func ParseConfig(data []byte) (Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	cfg := DefaultConfig()
-	if err := dec.Decode(&cfg); err != nil {
-		return Config{}, anchored(data, dec, err)
-	}
-	if dec.More() {
-		line, col := lineCol(data, dec.InputOffset())
-		return Config{}, fmt.Errorf("admission: line %d, column %d: trailing data after config object", line, col)
+	if err := strictjson.Decode(data, &cfg, "admission", "config"); err != nil {
+		return Config{}, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
@@ -35,77 +22,5 @@ func ParseConfig(data []byte) (Config, error) {
 // -admission-config flag). Fields absent from the file keep their
 // DefaultConfig values.
 func LoadConfig(path string) (Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Config{}, err
-	}
-	cfg, err := ParseConfig(data)
-	if err != nil {
-		return Config{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return cfg, nil
-}
-
-// anchored wraps a json decode error with the line and column it occurred
-// at. Syntax and type errors carry their own byte offset; unknown-field
-// errors name the field, which we locate in the input; for anything else
-// the decoder's current input offset is the best available anchor.
-func anchored(data []byte, dec *json.Decoder, err error) error {
-	off := dec.InputOffset()
-	var syn *json.SyntaxError
-	var typ *json.UnmarshalTypeError
-	switch {
-	case errors.As(err, &syn):
-		off = syn.Offset
-	case errors.As(err, &typ):
-		off = typ.Offset
-	default:
-		if o, ok := unknownFieldOffset(data, err); ok {
-			off = o
-		}
-	}
-	line, col := lineCol(data, off)
-	return fmt.Errorf("admission: line %d, column %d: %w", line, col, err)
-}
-
-// unknownFieldOffset extracts the field name from a DisallowUnknownFields
-// error ('json: unknown field "dwell"') and finds its key in the input.
-// The stdlib does not expose an offset for this error class, so a textual
-// search is the only anchor available; it is exact when the field name
-// appears once and a close approximation otherwise.
-func unknownFieldOffset(data []byte, err error) (int64, bool) {
-	const prefix = `json: unknown field "`
-	msg := err.Error()
-	i := strings.Index(msg, prefix)
-	if i < 0 {
-		return 0, false
-	}
-	name := msg[i+len(prefix):]
-	if j := strings.IndexByte(name, '"'); j >= 0 {
-		name = name[:j]
-	}
-	if name == "" {
-		return 0, false
-	}
-	if k := bytes.Index(data, []byte(`"`+name+`"`)); k >= 0 {
-		return int64(k), true
-	}
-	return 0, false
-}
-
-// lineCol converts a byte offset into 1-based line and column numbers.
-func lineCol(data []byte, off int64) (line, col int) {
-	if off > int64(len(data)) {
-		off = int64(len(data))
-	}
-	line, col = 1, 1
-	for _, b := range data[:off] {
-		if b == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return line, col
+	return strictjson.Load(path, ParseConfig)
 }

@@ -8,11 +8,8 @@ import (
 	"github.com/phoenix-sched/phoenix/internal/constraint"
 	"github.com/phoenix-sched/phoenix/internal/faults"
 	"github.com/phoenix-sched/phoenix/internal/metrics"
-	"github.com/phoenix-sched/phoenix/internal/sched"
 	"github.com/phoenix-sched/phoenix/internal/simulation"
-	"github.com/phoenix-sched/phoenix/internal/telemetry"
 	"github.com/phoenix-sched/phoenix/internal/trace"
-	"github.com/phoenix-sched/phoenix/internal/validate"
 )
 
 // admissionHorizonSeconds is the service admission horizon of every
@@ -97,62 +94,32 @@ func AdmissionControl(opts Options) (*Report, error) {
 		si := (i / len(modes)) % len(scenarios)
 		ai := (i / (len(modes) * len(scenarios))) % len(arrivals)
 		rep := i / per
-		s, err := opts.NewScheduler(SchedPhoenix)
-		if err != nil {
-			return err
-		}
 		src, err := trace.NewArrivalSource(e.cfg, trace.ArrivalConfig{Kind: arrivals[ai]}, e.big, uint64(1000+rep))
-		if err != nil {
-			return err
-		}
-		d, err := sched.NewServiceDriver(sched.DefaultConfig(), cl, src, s, driverSeed(rep))
 		if err != nil {
 			return err
 		}
 		// Job records are retained (unlike ext-steadystate): the headline
 		// metric is the exact P99 over all jobs, not a windowed median.
-		if _, err := faults.Attach(d, scenarios[si]); err != nil {
-			return err
-		}
-		var admSrc telemetry.AdmissionSource
-		switch modes[mi] {
-		case "controller":
-			ctl, err := admission.Attach(d, admission.DefaultConfig())
-			if err != nil {
-				return err
-			}
-			admSrc = ctl
-		case "static":
-			admSrc = admission.AttachStatic(d)
-		}
-		var chk *validate.Checker
-		if opts.ValidateRuns {
-			chk = validate.Attach(d)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sr, err := d.RunService(ctx, admissionHorizonSeconds*simulation.Second)
+		spec := opts.unit(cl, nil, SchedPhoenix, rep)
+		spec.Source = src
+		spec.Faults = scenarios[si]
+		spec.Admission = modes[mi]
+		spec.AdmissionConfig = admission.DefaultConfig()
+		a, err := Build(spec)
 		if err != nil {
 			return err
 		}
-		if sr.Cancelled {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		if chk != nil {
-			if err := chk.Finalize(); err != nil {
-				return fmt.Errorf("%s/%s/%s rep %d: %w", modes[mi], scenarios[si].Name, arrivals[ai], rep, err)
-			}
+		sr, err := a.RunService(ctx, admissionHorizonSeconds*simulation.Second)
+		if err != nil {
+			return fmt.Errorf("%s/%s/%s rep %d: %w", modes[mi], scenarios[si].Name, arrivals[ai], rep, err)
 		}
 		units[i] = cell{
 			admitted:    float64(sr.JobsAdmitted),
 			waitP99:     sr.Collector.QueueDelayPercentiles(metrics.All).P99,
 			respP99:     sr.Collector.ResponsePercentiles(metrics.All).P99,
 			relaxedJobs: float64(sr.Collector.RelaxedJobs),
-			dimBeats:    float64(admSrc.RelaxedDimBeats()),
-			transitions: float64(admSrc.ControllerTransitions()),
+			dimBeats:    float64(a.Admission.RelaxedDimBeats()),
+			transitions: float64(a.Admission.ControllerTransitions()),
 		}
 		return nil
 	})

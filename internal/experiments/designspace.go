@@ -37,11 +37,7 @@ func DesignSpace(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(scheds[si])
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(rep))
+		res, err := runSpec(ctx, opts.unit(cl, tr, scheds[si], rep))
 		if err != nil {
 			return err
 		}

@@ -24,24 +24,24 @@ func EstimatorAccuracy(opts Options) (*Report, error) {
 		return nil, err
 	}
 	// A single work unit: one instrumented Phoenix run.
-	pOpts := opts.Phoenix
-	pOpts.ValidateEstimates = true
-	p, err := core.New(pOpts)
-	if err != nil {
-		return nil, err
-	}
+	var a *Assembly
 	err = opts.runUnits(1, func(ctx context.Context, _ int) error {
 		tr, err := e.trace(0)
 		if err != nil {
 			return err
 		}
-		_, err = runOne(ctx, &opts, cl, tr, p, driverSeed(0))
+		spec := opts.unit(cl, tr, SchedPhoenix, 0)
+		spec.Phoenix.ValidateEstimates = true
+		if a, err = Build(spec); err != nil {
+			return err
+		}
+		_, err = a.Run(ctx)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	samples := p.Monitor().EstimateSamples()
+	samples := a.Scheduler.(*core.Scheduler).Monitor().EstimateSamples()
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("experiments: estimator produced no samples")
 	}

@@ -12,8 +12,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -24,7 +22,6 @@ import (
 	"github.com/phoenix-sched/phoenix/internal/sched"
 	"github.com/phoenix-sched/phoenix/internal/simulation"
 	"github.com/phoenix-sched/phoenix/internal/trace"
-	"github.com/phoenix-sched/phoenix/internal/validate"
 
 	// The bundled schedulers register themselves with the sched plug-in
 	// registry from their init functions; the harness links them in so
@@ -190,58 +187,6 @@ func (e *env) trace(rep int) (*trace.Trace, error) {
 
 // driverSeed is the per-repetition scheduler randomness seed.
 func driverSeed(rep int) uint64 { return uint64(7 + rep) }
-
-// runOne executes a single (cluster, trace, scheduler, seed) work unit.
-// When the options request validation, the invariant checker rides along
-// and any violation fails the run. A cancelled ctx halts the simulation
-// between events and surfaces as ctx's error.
-func runOne(ctx context.Context, o *Options, cl *cluster.Cluster, tr *trace.Trace, s sched.Scheduler, seed uint64) (*sched.Result, error) {
-	d, err := sched.NewDriver(sched.DefaultConfig(), cl, tr, s, seed)
-	if err != nil {
-		return nil, err
-	}
-	var chk *validate.Checker
-	if o.ValidateRuns {
-		chk = validate.Attach(d)
-	}
-	res, err := runDriver(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	if chk != nil {
-		if err := chk.Finalize(); err != nil {
-			return nil, fmt.Errorf("%s seed %d: %w", s.Name(), seed, err)
-		}
-	}
-	return res, nil
-}
-
-// runDriver executes an already-constructed driver under ctx: when ctx is
-// cancelled (a sibling work unit failed) the in-flight simulation is halted
-// between events via Driver.Halt and the cancellation — not ErrHalted — is
-// returned, so the pool can tell a cancellation casualty from a genuine
-// failure. Experiments that build their own drivers (custom configs, fault
-// scenarios) run them through here to stay cancellable.
-func runDriver(ctx context.Context, d *sched.Driver) (*sched.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// A cancel's halt can land after Run has returned (AfterFunc runs it
-	// on its own goroutine, and stop does not wait for it). That is benign
-	// here, unlike in Driver.RunService's drain: the driver never runs
-	// again, so a late halt only raises the flag on an engine nobody
-	// steps, and the result or error already returned stands.
-	stop := context.AfterFunc(ctx, d.Halt)
-	defer stop()
-	res, err := d.Run()
-	if err != nil {
-		if ctx.Err() != nil && errors.Is(err, simulation.ErrHalted) {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	return res, nil
-}
 
 // Report is a printable experiment result.
 type Report struct {

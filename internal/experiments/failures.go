@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/phoenix-sched/phoenix/internal/metrics"
-	"github.com/phoenix-sched/phoenix/internal/sched"
 	"github.com/phoenix-sched/phoenix/internal/simulation"
 )
 
@@ -41,21 +40,13 @@ func FailureImpact(opts Options) (*Report, error) {
 		si := (i / len(rates)) % len(scheds)
 		rep := i / (len(rates) * len(scheds))
 
-		cfg := sched.DefaultConfig()
-		cfg.FailureRatePerHour = rates[ri]
 		tr, err := e.trace(rep)
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(scheds[si])
-		if err != nil {
-			return err
-		}
-		d, err := sched.NewDriver(cfg, cl, tr, s, driverSeed(rep))
-		if err != nil {
-			return err
-		}
-		res, err := runDriver(ctx, d)
+		spec := opts.unit(cl, tr, scheds[si], rep)
+		spec.Config.FailureRatePerHour = rates[ri]
+		res, err := runSpec(ctx, spec)
 		if err != nil {
 			return err
 		}

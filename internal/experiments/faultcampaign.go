@@ -7,7 +7,6 @@ import (
 	"github.com/phoenix-sched/phoenix/internal/constraint"
 	"github.com/phoenix-sched/phoenix/internal/faults"
 	"github.com/phoenix-sched/phoenix/internal/metrics"
-	"github.com/phoenix-sched/phoenix/internal/sched"
 	"github.com/phoenix-sched/phoenix/internal/simulation"
 )
 
@@ -53,24 +52,14 @@ func FaultCampaign(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(scheds[si])
-		if err != nil {
-			return err
-		}
-		d, err := sched.NewDriver(sched.DefaultConfig(), cl, tr, s, driverSeed(rep))
-		if err != nil {
-			return err
-		}
+		spec := opts.unit(cl, tr, scheds[si], rep)
 		if ci == 1 {
 			// Outage spans [25%, 50%] of the arrival horizon of this
 			// repetition's trace, so every seed sees the same relative window.
 			horizon := tr.Jobs[len(tr.Jobs)-1].Arrival.Seconds()
-			sc := faults.RackOutage(dim, val, 0.25*horizon, 0.25*horizon)
-			if _, err := faults.Attach(d, sc); err != nil {
-				return err
-			}
+			spec.Faults = faults.RackOutage(dim, val, 0.25*horizon, 0.25*horizon)
 		}
-		res, err := runDriver(ctx, d)
+		res, err := runSpec(ctx, spec)
 		if err != nil {
 			return err
 		}

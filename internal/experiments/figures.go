@@ -57,11 +57,7 @@ func Fig2(opts Options, profile string) (*Report, error) {
 		if !series[si].constrained {
 			tr = tr.StripConstraints()
 		}
-		s, err := opts.NewScheduler(series[si].sched)
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(rep))
+		res, err := runSpec(ctx, opts.unit(cl, tr, series[si].sched, rep))
 		if err != nil {
 			return err
 		}
@@ -112,11 +108,7 @@ func Fig3(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(SchedEagle)
-		if err != nil {
-			return err
-		}
-		res, err = runOne(ctx, &opts, cl, tr, s, driverSeed(0))
+		res, err = runSpec(ctx, opts.unit(cl, tr, SchedEagle, 0))
 		return err
 	})
 	if err != nil {
@@ -171,11 +163,7 @@ func Fig4(opts Options, profile string) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(SchedEagle)
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(rep))
+		res, err := runSpec(ctx, opts.unit(cl, tr, SchedEagle, rep))
 		if err != nil {
 			return err
 		}
@@ -282,11 +270,7 @@ func Fig9(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(name)
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(rep))
+		res, err := runSpec(ctx, opts.unit(cl, tr, name, rep))
 		if err != nil {
 			return err
 		}

@@ -4,17 +4,14 @@ import (
 	"context"
 	"strconv"
 
-	"github.com/phoenix-sched/phoenix/internal/core"
 	"github.com/phoenix-sched/phoenix/internal/metrics"
-	"github.com/phoenix-sched/phoenix/internal/sched"
-	"github.com/phoenix-sched/phoenix/internal/schedulers/policies"
 )
 
 // gangVariants is the policy-composition sweep of ext-gang: bare Phoenix
 // (its CRV reordering sees gang jobs as ordinary long jobs), gang
 // co-placement alone, gang plus backfill (reclaiming the reservation idle
 // windows), and the full stack with priority preemption. Compositions are
-// policy names applied innermost-first around Phoenix (policies.Wrap).
+// policy names applied innermost-first around Phoenix (Spec.Policies).
 var gangVariants = [][]string{
 	nil,
 	{"gang"},
@@ -64,16 +61,9 @@ func GangPolicies(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		var s sched.Scheduler
-		s, err = core.New(opts.Phoenix)
-		if err != nil {
-			return err
-		}
-		s, err = policies.Wrap(s, names)
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(rep))
+		spec := opts.unit(cl, tr, SchedPhoenix, rep)
+		spec.Policies = names
+		res, err := runSpec(ctx, spec)
 		if err != nil {
 			return err
 		}

@@ -61,11 +61,7 @@ func goldenCorpus(t *testing.T) string {
 			if err != nil {
 				return err
 			}
-			s, err := o.NewScheduler(scheds[si])
-			if err != nil {
-				return err
-			}
-			res, err := runOne(ctx, &o, cl, tr, s, driverSeed(rep))
+			res, err := runSpec(ctx, o.unit(cl, tr, scheds[si], rep))
 			if err != nil {
 				return err
 			}

@@ -46,11 +46,7 @@ func PlacementImpact(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(SchedPhoenix)
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(rep))
+		res, err := runSpec(ctx, opts.unit(cl, tr, SchedPhoenix, rep))
 		if err != nil {
 			return err
 		}

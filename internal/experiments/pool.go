@@ -75,7 +75,7 @@ var unitFailureHook func(unit int) error
 // worker pool of o.parallelism() goroutines (capped at n), recording unit
 // timings into o.Stats. See the file comment for the determinism and
 // cancellation contract. fn must confine itself to unit i's result slot and
-// must pass ctx down to the simulation (runOne/runDriver) so an in-flight
+// must pass ctx down to the simulation (Assembly.Run or RunService) so an in-flight
 // run is halted when a lower-indexed sibling fails.
 func (o *Options) runUnits(n int, fn func(ctx context.Context, i int) error) error {
 	workers := o.parallelism()

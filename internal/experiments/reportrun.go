@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"github.com/phoenix-sched/phoenix/internal/sched"
 	"github.com/phoenix-sched/phoenix/internal/telemetry"
 )
@@ -14,46 +16,27 @@ import (
 // and the metadata a report needs. Telemetry is scheduler-invisible, so
 // the run's digest matches an uninstrumented repetition 0.
 func ReportRun(o Options, schedName, profile string) (*telemetry.Recorder, *sched.Result, telemetry.Meta, error) {
-	var meta telemetry.Meta
 	env, err := newEnv(o, profile)
 	if err != nil {
-		return nil, nil, meta, err
+		return nil, nil, telemetry.Meta{}, err
 	}
 	cl, err := env.clusterAt(1.0)
 	if err != nil {
-		return nil, nil, meta, err
+		return nil, nil, telemetry.Meta{}, err
 	}
 	tr, err := env.trace(0)
 	if err != nil {
-		return nil, nil, meta, err
+		return nil, nil, telemetry.Meta{}, err
 	}
-	s, err := o.NewScheduler(schedName)
+	spec := o.unit(cl, tr, schedName, 0)
+	spec.Telemetry = &telemetry.Options{}
+	a, err := Build(spec)
 	if err != nil {
-		return nil, nil, meta, err
+		return nil, nil, telemetry.Meta{}, err
 	}
-	d, err := sched.NewDriver(sched.DefaultConfig(), cl, tr, s, driverSeed(0))
+	res, err := a.Run(context.Background())
 	if err != nil {
-		return nil, nil, meta, err
+		return nil, nil, telemetry.Meta{}, err
 	}
-	topts := telemetry.Options{CRVThreshold: o.Phoenix.CRVThreshold}
-	if src, ok := s.(telemetry.CRVSource); ok {
-		topts.CRV = src
-	}
-	rec := telemetry.Attach(d, topts)
-	res, err := d.Run()
-	if err != nil {
-		return nil, nil, meta, err
-	}
-	meta = telemetry.Meta{
-		Scheduler:   res.Scheduler,
-		Workload:    tr.Name,
-		Jobs:        len(tr.Jobs),
-		Tasks:       tr.NumTasks(),
-		Workers:     res.NumWorkers,
-		OfferedLoad: tr.OfferedLoad(cl.Size()),
-		Seed:        driverSeed(0),
-		Span:        res.Span,
-		Utilization: res.Utilization,
-	}
-	return rec, res, meta, nil
+	return a.Recorder, res, a.Meta(res), nil
 }

@@ -10,7 +10,7 @@ import (
 
 	"github.com/phoenix-sched/phoenix/internal/constraint"
 	"github.com/phoenix-sched/phoenix/internal/faults"
-	"github.com/phoenix-sched/phoenix/internal/sched"
+	"github.com/phoenix-sched/phoenix/internal/trace"
 )
 
 // The determinism battery: every registered experiment must produce
@@ -85,19 +85,10 @@ func TestJobsDeterminismSharedMatchCacheFaultCampaign(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			s, err := ro.NewScheduler(SchedPhoenix)
-			if err != nil {
-				return err
-			}
-			d, err := sched.NewDriver(sched.DefaultConfig(), cl, tr, s, driverSeed(i))
-			if err != nil {
-				return err
-			}
+			spec := ro.unit(cl, tr, SchedPhoenix, i)
 			horizon := tr.Jobs[len(tr.Jobs)-1].Arrival.Seconds()
-			if _, err := faults.Attach(d, faults.RackOutage(dim, val, 0.25*horizon, 0.25*horizon)); err != nil {
-				return err
-			}
-			res, err := runDriver(ctx, d)
+			spec.Faults = faults.RackOutage(dim, val, 0.25*horizon, 0.25*horizon)
+			res, err := runSpec(ctx, spec)
 			if err != nil {
 				return err
 			}
@@ -195,8 +186,8 @@ func TestRunnerErrorPropagatesThroughExperiment(t *testing.T) {
 	}
 }
 
-// runDriver must refuse to start under a cancelled context and must map a
-// mid-run halt back to the context's error, never leaking ErrHalted.
+// Assembly.Run must refuse to start under a cancelled context and must map
+// a mid-run halt back to the context's error, never leaking ErrHalted.
 func TestRunDriverHonorsCancellation(t *testing.T) {
 	o := tinyOptions()
 	e, err := newEnv(o, "yahoo")
@@ -211,22 +202,18 @@ func TestRunDriverHonorsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newDriver := func() *sched.Driver {
-		s, err := o.NewScheduler(SchedSparrow)
+	newRun := func() *Assembly {
+		a, err := Build(o.unit(cl, tr, SchedSparrow, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := sched.NewDriver(sched.DefaultConfig(), cl, tr, s, driverSeed(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return a
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := runDriver(ctx, newDriver()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled runDriver = %v, want context.Canceled", err)
+	if _, err := newRun().Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled Assembly.Run = %v, want context.Canceled", err)
 	}
 
 	// Mid-run cancellation is timing-dependent: the run either completes
@@ -237,10 +224,40 @@ func TestRunDriverHonorsCancellation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cancel2()
 	}()
-	if _, err := runDriver(ctx2, newDriver()); err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run cancelled runDriver = %v, want nil or context.Canceled", err)
+	if _, err := newRun().Run(ctx2); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancelled Assembly.Run = %v, want nil or context.Canceled", err)
 	}
 	cancel2()
+
+	// Service runs: a pre-cancelled context never starts, and a cancel
+	// during an unbounded run drains it and returns the drained result
+	// together with the context's error.
+	newService := func() *Assembly {
+		src, err := trace.NewArrivalSource(e.cfg, trace.ArrivalConfig{Kind: trace.ArrivalPoisson}, e.big, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := o.unit(cl, nil, SchedSparrow, 0)
+		spec.Source = src
+		spec.Validate = true
+		a, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	if sr, err := newService().RunService(ctx, 0); sr != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled Assembly.RunService = %v, %v; want nil, context.Canceled", sr, err)
+	}
+	ctx3, cancel3 := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(time.Millisecond)
+		cancel3()
+	}()
+	sr, err := newService().RunService(ctx3, 0)
+	if !errors.Is(err, context.Canceled) || sr == nil || !sr.Cancelled {
+		t.Fatalf("cancelled unbounded Assembly.RunService = %+v, %v; want a drained result and context.Canceled", sr, err)
+	}
 }
 
 // BenchmarkRunnerJobs measures the worker pool's scaling over a fixed unit
@@ -272,11 +289,7 @@ func BenchmarkRunnerJobs(b *testing.B) {
 					if err != nil {
 						return err
 					}
-					s, err := ro.NewScheduler(scheds[si])
-					if err != nil {
-						return err
-					}
-					_, err = runOne(ctx, &ro, cl, tr, s, driverSeed(rep))
+					_, err = runSpec(ctx, ro.unit(cl, tr, scheds[si], rep))
 					return err
 				})
 				if err != nil {

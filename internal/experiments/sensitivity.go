@@ -99,21 +99,13 @@ func sensitivity(opts Options, settings int, apply func(*sched.Config, int) stri
 	units := make([]unit, n)
 	err = opts.runUnits(n, func(ctx context.Context, i int) error {
 		si, rep := i%settings, i/settings
-		cfg := sched.DefaultConfig()
-		apply(&cfg, si)
 		tr, err := e.trace(rep)
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(SchedPhoenix)
-		if err != nil {
-			return err
-		}
-		d, err := sched.NewDriver(cfg, cl, tr, s, driverSeed(rep))
-		if err != nil {
-			return err
-		}
-		res, err := runDriver(ctx, d)
+		spec := opts.unit(cl, tr, SchedPhoenix, rep)
+		apply(&spec.Config, si)
+		res, err := runSpec(ctx, spec)
 		if err != nil {
 			return err
 		}

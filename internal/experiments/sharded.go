@@ -5,10 +5,7 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/phoenix-sched/phoenix/internal/core"
 	"github.com/phoenix-sched/phoenix/internal/metrics"
-	"github.com/phoenix-sched/phoenix/internal/sched"
-	"github.com/phoenix-sched/phoenix/internal/schedulers/sharded"
 )
 
 // shardCounts is the shard-count sweep of ext-sharded. The single-shard
@@ -51,17 +48,13 @@ func ShardScaling(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := sharded.NewWith(SchedPhoenix, shards, func() (sched.Scheduler, error) {
-			return core.New(opts.Phoenix)
-		})
-		if err != nil {
-			return err
-		}
+		spec := opts.unit(cl, tr, SchedPhoenix, rep)
+		spec.Shards = shards
 		var started time.Time
 		if opts.Timing {
 			started = time.Now()
 		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(rep))
+		res, err := runSpec(ctx, spec)
 		if err != nil {
 			return err
 		}

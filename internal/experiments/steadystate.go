@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/phoenix-sched/phoenix/internal/cluster"
-	"github.com/phoenix-sched/phoenix/internal/sched"
 	"github.com/phoenix-sched/phoenix/internal/simulation"
 	"github.com/phoenix-sched/phoenix/internal/telemetry"
 	"github.com/phoenix-sched/phoenix/internal/trace"
-	"github.com/phoenix-sched/phoenix/internal/validate"
 )
 
 // Steady-state service runs admit Poisson arrivals for a fixed simulated
@@ -48,14 +45,28 @@ func SteadyState(opts Options) (*Report, error) {
 	units := make([]cell, n)
 	err = opts.runUnits(n, func(ctx context.Context, i int) error {
 		si, rep := i%len(scheds), i/len(scheds)
-		s, err := opts.NewScheduler(scheds[si])
+		// Poisson arrivals seeded like repetition rep's batch trace, with
+		// bounded memory: job records dropped, windowed telemetry ringed.
+		src, err := trace.NewArrivalSource(e.cfg, trace.ArrivalConfig{Kind: trace.ArrivalPoisson}, e.big, uint64(1000+rep))
 		if err != nil {
 			return err
 		}
-		sr, wr, err := serviceRun(ctx, &opts, e, cl, s, rep)
+		spec := opts.unit(cl, nil, scheds[si], rep)
+		spec.Source = src
+		spec.DropJobRecords = true
+		spec.Windows = &telemetry.WindowOptions{
+			Interval:   steadyWindowSeconds * simulation.Second,
+			MaxWindows: 4 * steadyHorizonSeconds / steadyWindowSeconds,
+		}
+		a, err := Build(spec)
 		if err != nil {
 			return err
 		}
+		sr, err := a.RunService(ctx, steadyHorizonSeconds*simulation.Second)
+		if err != nil {
+			return err
+		}
+		wr := a.Windows
 		p50, p95, p99 := wr.SteadyWaitPercentiles()
 		ci50, ci95, ci99 := wr.SteadyWaitCI()
 		units[i] = cell{
@@ -118,48 +129,4 @@ func SteadyState(opts Options) (*Report, error) {
 		})
 	}
 	return rep, nil
-}
-
-// serviceRun executes one open-loop service work unit: a Poisson arrival
-// source seeded like repetition rep's batch trace, a bounded-memory
-// service driver (job records dropped, windowed telemetry ringed), a fixed
-// admission horizon, and a graceful drain. A cancelled ctx halts and is
-// reported as the context's error so the pool can tell cancellation
-// casualties from failures, mirroring runDriver.
-func serviceRun(ctx context.Context, o *Options, e *env, cl *cluster.Cluster, s sched.Scheduler, rep int) (*sched.ServiceResult, *telemetry.WindowRecorder, error) {
-	src, err := trace.NewArrivalSource(e.cfg, trace.ArrivalConfig{Kind: trace.ArrivalPoisson}, e.big, uint64(1000+rep))
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := sched.NewServiceDriver(sched.DefaultConfig(), cl, src, s, driverSeed(rep))
-	if err != nil {
-		return nil, nil, err
-	}
-	d.Collector().DropJobRecords()
-	wr := telemetry.AttachWindows(d, telemetry.WindowOptions{
-		Interval:   steadyWindowSeconds * simulation.Second,
-		MaxWindows: 4 * steadyHorizonSeconds / steadyWindowSeconds,
-	})
-	var chk *validate.Checker
-	if o.ValidateRuns {
-		chk = validate.Attach(d)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	sr, err := d.RunService(ctx, steadyHorizonSeconds*simulation.Second)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sr.Cancelled {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
-	}
-	if chk != nil {
-		if err := chk.Finalize(); err != nil {
-			return nil, nil, fmt.Errorf("%s service rep %d: %w", s.Name(), rep, err)
-		}
-	}
-	return sr, wr, nil
 }

@@ -64,11 +64,7 @@ func sweepNormalized(opts Options, profile, subject, baseline string, filter met
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(sp.name)
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(sp.rep))
+		res, err := runSpec(ctx, opts.unit(cl, tr, sp.name, sp.rep))
 		if err != nil {
 			return fmt.Errorf("%s on %s x%.2f: %w", sp.name, profile, opts.SweepMults[sp.point], err)
 		}

@@ -40,11 +40,7 @@ func TableII(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(SchedEagle)
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(rep))
+		res, err := runSpec(ctx, opts.unit(cl, tr, SchedEagle, rep))
 		if err != nil {
 			return err
 		}
@@ -146,11 +142,7 @@ func TableIII(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		s, err := opts.NewScheduler(SchedPhoenix)
-		if err != nil {
-			return err
-		}
-		res, err := runOne(ctx, &opts, cl, tr, s, driverSeed(0))
+		res, err := runSpec(ctx, opts.unit(cl, tr, SchedPhoenix, 0))
 		if err != nil {
 			return err
 		}

@@ -27,7 +27,7 @@ type env struct {
 	tr *trace.Trace
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	cl, err := cluster.GoogleProfile().GenerateCluster(120, simulation.NewRNG(1).Stream("faults/machines"))
 	if err != nil {

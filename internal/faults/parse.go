@@ -1,28 +1,15 @@
 package faults
 
-import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"strings"
-)
+import "github.com/phoenix-sched/phoenix/internal/strictjson"
 
 // ParseScenario decodes and validates a scenario from JSON. Unknown fields
 // are rejected (a typoed field name must not silently become a no-op
 // fault), and malformed input produces an error anchored to the offending
 // line and column of the document.
 func ParseScenario(data []byte) (*Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var sc Scenario
-	if err := dec.Decode(&sc); err != nil {
-		return nil, anchored(data, dec, err)
-	}
-	if dec.More() {
-		line, col := lineCol(data, dec.InputOffset())
-		return nil, fmt.Errorf("scenario: line %d, column %d: trailing data after scenario object", line, col)
+	if err := strictjson.Decode(data, &sc, "scenario", "scenario"); err != nil {
+		return nil, err
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -32,77 +19,5 @@ func ParseScenario(data []byte) (*Scenario, error) {
 
 // LoadScenario reads and parses a scenario file (the -faults flag).
 func LoadScenario(path string) (*Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := ParseScenario(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return sc, nil
-}
-
-// anchored wraps a json decode error with the line and column it occurred
-// at. Syntax and type errors carry their own byte offset; unknown-field
-// errors name the field, which we locate in the input; for anything else
-// the decoder's current input offset is the best available anchor.
-func anchored(data []byte, dec *json.Decoder, err error) error {
-	off := dec.InputOffset()
-	var syn *json.SyntaxError
-	var typ *json.UnmarshalTypeError
-	switch {
-	case errors.As(err, &syn):
-		off = syn.Offset
-	case errors.As(err, &typ):
-		off = typ.Offset
-	default:
-		if o, ok := unknownFieldOffset(data, err); ok {
-			off = o
-		}
-	}
-	line, col := lineCol(data, off)
-	return fmt.Errorf("scenario: line %d, column %d: %w", line, col, err)
-}
-
-// unknownFieldOffset extracts the field name from a DisallowUnknownFields
-// error ('json: unknown field "start"') and finds its key in the input.
-// The stdlib does not expose an offset for this error class, so a textual
-// search is the only anchor available; it is exact when the field name
-// appears once and a close approximation otherwise.
-func unknownFieldOffset(data []byte, err error) (int64, bool) {
-	const prefix = `json: unknown field "`
-	msg := err.Error()
-	i := strings.Index(msg, prefix)
-	if i < 0 {
-		return 0, false
-	}
-	name := msg[i+len(prefix):]
-	if j := strings.IndexByte(name, '"'); j >= 0 {
-		name = name[:j]
-	}
-	if name == "" {
-		return 0, false
-	}
-	if k := bytes.Index(data, []byte(`"`+name+`"`)); k >= 0 {
-		return int64(k), true
-	}
-	return 0, false
-}
-
-// lineCol converts a byte offset into 1-based line and column numbers.
-func lineCol(data []byte, off int64) (line, col int) {
-	if off > int64(len(data)) {
-		off = int64(len(data))
-	}
-	line, col = 1, 1
-	for _, b := range data[:off] {
-		if b == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return line, col
+	return strictjson.Load(path, ParseScenario)
 }
