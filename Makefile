@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ci bench bench-hotpath docs-check faults runner service sharded gang admission nightly nightly-report results-check experiments figures clean
+.PHONY: all build test race vet ci bench bench-hotpath docs-check smoke nightly nightly-report results-check experiments figures clean
 
 all: build test
 
@@ -13,12 +13,7 @@ ci:
 	$(GO) test ./...
 	$(GO) test -race ./internal/...
 	$(MAKE) bench-hotpath
-	$(MAKE) faults
-	$(MAKE) runner
-	$(MAKE) service
-	$(MAKE) sharded
-	$(MAKE) gang
-	$(MAKE) admission
+	$(MAKE) smoke
 	$(MAKE) docs-check
 
 build:
@@ -44,61 +39,27 @@ bench:
 bench-hotpath:
 	$(GO) test -run '^$$' -bench 'MatchCache|Satisfying|CandidateWorkers|CentralPlacement|SampleWorkers|HeartbeatCRV' -benchtime=1x -benchmem ./internal/cluster/ ./internal/sched/ .
 
-# Fault-campaign smoke: a short mixed scenario (outage + slowdown + probe
-# loss) against every bundled scheduler, invariant checker attached, under
-# the race detector.
-faults:
-	$(GO) test -race -count=1 -run 'TestFaultCampaignSmoke' ./internal/faults/
-
-# Live-service smoke: the service-mode determinism/cancel-drain and
-# bounded-memory soak batteries under the race detector, then a short
-# open-loop CLI run with the invariant checker attached.
-service:
-	$(GO) test -race -count=1 -run 'TestService|TestSoak' ./internal/sched/ ./internal/telemetry/
-	$(GO) run ./cmd/phoenix-sim -service -scale 0.05 -duration 60 -window 10 -validate -digest
-
 # Godoc coverage gate: fail on any exported identifier without a doc
 # comment in the gated packages (docs-check's defaultDirs is the single
 # source of truth for the list).
 docs-check:
 	$(GO) run ./cmd/docs-check
 
-# Sharded scale-out smoke: the shard-1 byte-identity and 4-shard battery
-# under the race detector, then the CLI invisibility table (TestInvisibility:
-# a -shards 1 run and the real single-shard wrapper must reproduce the
-# unsharded digest), then a 4-shard run that must complete clean.
-sharded:
-	$(GO) test -race -count=1 -run 'TestShard' ./internal/schedulers/sharded/ ./internal/cluster/
-	$(GO) test -count=1 -run 'TestInvisibility' ./cmd/phoenix-sim/
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -shards 4 -profile google -scale 0.05 -seed 7 -validate -digest
-
-# Policy plug-in smoke: the pass-through/determinism/invariant batteries
-# under the race detector, then the CLI invisibility table (TestInvisibility:
-# a zero-fraction run under the full policy stack must reproduce the bare
-# scheduler's digest), then a gang-flavored stacked run that must complete
-# with the invariant checker clean.
-gang:
-	$(GO) test -race -count=1 ./internal/schedulers/policies/
-	$(GO) test -count=1 -run 'TestInvisibility' ./cmd/phoenix-sim/
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -policies gang,backfill -gang-fraction 0.3 -priority-fraction 0.2 -profile google -scale 0.05 -seed 7 -validate -digest
-
-# Admission-control smoke: the stability/determinism/sentinel battery
-# under the race detector, then the CLI invisibility table (TestInvisibility:
-# an -admission off run must reproduce the plain digest), then a
-# feedback-controller run under the supply-loss campaign that must
-# complete with the invariant checker clean.
-admission:
-	$(GO) test -race -count=1 ./internal/admission/
-	$(GO) test -count=1 -run 'TestInvisibility' ./cmd/phoenix-sim/
-	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -admission controller -faults scenarios/supply-loss.json -profile google -scale 0.05 -seed 7 -validate -digest
-
-# Parallel-runner smoke: diff the golden digest corpus, then exercise the
-# -jobs worker pool end to end through the CLI. The jobs=1 vs jobs=8
-# byte-identity battery itself (TestJobsDeterminism*) runs under the race
-# detector as part of the `go test -race ./internal/...` step above.
-runner:
-	$(GO) test -count=1 -run 'TestGoldenDigestCorpus' ./internal/experiments/
+# CLI smoke: each run drives a CLI surface end to end and must complete
+# (every phoenix-sim run with the invariant checker clean). The Go
+# batteries behind these features — fault campaigns, service/soak,
+# shard-1 identity, policy pass-through, admission stability, the jobs=1
+# vs jobs=8 runner identity — run in the `go test -race ./internal/...`
+# step, and the TestInvisibility table and golden digest corpus in
+# `go test ./...`, so none is repeated here. In order: the -jobs worker
+# pool, an open-loop service run, a 4-shard run, a gang-flavored policy
+# stack, and the admission controller under the supply-loss campaign.
+smoke:
 	$(GO) run ./cmd/experiments -run ext-designspace -scale 0.05 -seeds 2 -jobs 8 -digest
+	$(GO) run ./cmd/phoenix-sim -service -scale 0.05 -duration 60 -window 10 -validate -digest
+	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -shards 4 -profile google -scale 0.05 -seed 7 -validate -digest
+	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -policies gang,backfill -gang-fraction 0.3 -priority-fraction 0.2 -profile google -scale 0.05 -seed 7 -validate -digest
+	$(GO) run ./cmd/phoenix-sim -scheduler phoenix -admission controller -faults scenarios/supply-loss.json -profile google -scale 0.05 -seed 7 -validate -digest
 
 # Nightly regression gate (see .github/workflows/nightly.yml): diff the
 # golden digest corpus at scale 0.05, re-run the scale-1.0 reference and

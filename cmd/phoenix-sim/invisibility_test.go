@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/phoenix-sched/phoenix/internal/experiments"
@@ -113,6 +114,28 @@ func TestInvisibility(t *testing.T) {
 			}
 		})
 	}
+
+	// A policy wrapper must forward every scheduler view, the sharded
+	// scheduler's per-shard CRV included: at zero gang fraction, gang
+	// around four shards must write the bare four-shard run's telemetry
+	// CSV byte for byte, crv_max_shard<k> columns and all.
+	t.Run("policies-shard-view", func(t *testing.T) {
+		sharded := append(append([]string(nil), ref...), "-shards", "4")
+		csvOf := func(flags ...string) string {
+			a := build(t, specOf(t, append(append([]string(nil), sharded...), flags...)...))
+			batchDigest(t, a)
+			return a.Recorder.CSV()
+		}
+		want := csvOf("-timeseries", filepath.Join(out, "sharded.csv"))
+		got := csvOf("-policies", "gang", "-timeseries", filepath.Join(out, "gang-sharded.csv"))
+		if !strings.Contains(want, "crv_max_shard3") {
+			t.Fatal("the bare four-shard CSV has no per-shard CRV columns")
+		}
+		if got != want {
+			header, _, _ := strings.Cut(got, "\n")
+			t.Errorf("gang(sharded x4) CSV differs from the bare run's; its header:\n%s", header)
+		}
+	})
 
 	t.Run("service", func(t *testing.T) {
 		svc := append(append([]string(nil), ref...), "-service", "-duration", "60", "-window", "10")

@@ -32,14 +32,14 @@
 //
 // -admission enables CRV-aware admission control (internal/admission):
 //
-//	phoenix-sim -admission controller -admission-k 3 -admission-dwell 6 \
-//	    -faults scenarios/supply-loss.json -report run.md
+//	phoenix-sim -admission controller -faults scenarios/supply-loss.json -report run.md
 //
 // "controller" runs the per-dimension feedback loop (relax a soft
 // constraint dimension after its CRV exceeds the trigger for k beats,
 // re-tighten after a longer recovery streak, hysteresis + dwell bound the
-// oscillation); "static" is the always-relax open-loop baseline. At "off"
-// (the default) runs are byte-identical to builds without the layer.
+// oscillation), tuned by an optional -admission-config JSON file; "static"
+// is the always-relax open-loop baseline. At "off" (the default) runs are
+// byte-identical to builds without the layer.
 //
 // -service switches to the open-loop live-service mode:
 //
@@ -105,7 +105,6 @@ type options struct {
 	timeseriesPath, reportPath string
 
 	admissionMode, admissionConfig string
-	admissionK, admissionDwell     int
 
 	service                bool
 	replayPath, arrivals   string
@@ -145,9 +144,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.reportPath, "report", "", "write a Markdown run report to this file")
 
 	fs.StringVar(&o.admissionMode, "admission", "off", "admission control: off, controller (CRV feedback loop), static (always-relax baseline)")
-	fs.IntVar(&o.admissionK, "admission-k", 0, "admission controller: consecutive over-threshold beats before relaxing (0 = default)")
-	fs.IntVar(&o.admissionDwell, "admission-dwell", -1, "admission controller: minimum beats between transitions of one dimension (-1 = default)")
-	fs.StringVar(&o.admissionConfig, "admission-config", "", "admission controller: load thresholds/streaks from this JSON file (flags override)")
+	fs.StringVar(&o.admissionConfig, "admission-config", "", "admission controller: load thresholds/streaks/dwell from this JSON file")
 
 	fs.BoolVar(&o.service, "service", false, "open-loop live-service mode: stream arrivals instead of replaying a trace")
 	fs.StringVar(&o.replayPath, "replay", "", "service mode: stream this recorded JSONL trace open-loop at -rate instead of synthetic arrivals")
@@ -352,10 +349,8 @@ func (o *options) invocation() (_ *invocation, err error) {
 }
 
 // admissionSettings resolves the controller's configuration: DefaultConfig,
-// overridden by the optional -admission-config JSON, overridden in turn by
-// -admission-k / -admission-dwell. Raising k past the configured tighten
-// streak raises the streak with it, keeping recovery no faster than
-// relaxation. Only the controller mode reads a configuration.
+// overridden by the optional -admission-config JSON. Only the controller
+// mode reads a configuration.
 func (o *options) admissionSettings() (admission.Config, error) {
 	switch o.admissionMode {
 	case "", "off", "static":
@@ -364,21 +359,10 @@ func (o *options) admissionSettings() (admission.Config, error) {
 	default:
 		return admission.Config{}, fmt.Errorf("unknown -admission mode %q (off, controller, static)", o.admissionMode)
 	}
-	cfg := admission.DefaultConfig()
-	if o.admissionConfig != "" {
-		var err error
-		if cfg, err = admission.LoadConfig(o.admissionConfig); err != nil {
-			return admission.Config{}, err
-		}
+	if o.admissionConfig == "" {
+		return admission.DefaultConfig(), nil
 	}
-	if o.admissionK > 0 {
-		cfg.RelaxBeats = o.admissionK
-		cfg.TightenBeats = max(cfg.TightenBeats, o.admissionK)
-	}
-	if o.admissionDwell >= 0 {
-		cfg.DwellBeats = o.admissionDwell
-	}
-	return cfg, nil
+	return admission.LoadConfig(o.admissionConfig)
 }
 
 // serviceSpec completes spec for an open-loop service run: the job source,

@@ -151,8 +151,8 @@ func Build(spec Spec) (*Assembly, error) {
 		if topts.CRVThreshold == 0 {
 			topts.CRVThreshold = spec.Phoenix.CRVThreshold
 		}
-		topts.CRV, _ = s.(telemetry.CRVSource)
-		topts.Gang, _ = s.(telemetry.GangSource)
+		h := sched.HooksOf(s)
+		topts.CRV, topts.Gang = h.CRV, h.Gang
 		topts.Admission = a.Admission
 		a.Recorder = telemetry.Attach(d, topts)
 	}

@@ -8,72 +8,46 @@ import (
 // Runner regenerates one experiment.
 type Runner func(Options) (*Report, error)
 
-// entry couples an experiment's runner with its work-unit enumeration.
-// units reports how many independent (cluster, trace, scheduler, seed)
-// simulations the experiment decomposes into under the given options — the
-// quantity the worker pool fans out over. The count must match what the
-// runner actually executes (PoolStats cross-checks it in the test suite),
-// so the CLI's units/speedup summary and any scheduling of experiment
-// batches can trust it without running anything.
-type entry struct {
-	run   Runner
-	units func(Options) int
-}
-
-// Unit-count helpers shared by the registry. Sweep experiments run subject
-// and baseline per (sweep point, seed); matrix experiments run a cartesian
-// product of fixed factor slices times seeds; single-run experiments are
-// one unit regardless of options.
-func sweepUnits(o Options) int { return 2 * len(o.SweepMults) * o.Seeds }
-func seedUnits(o Options) int  { return o.Seeds }
-func singleUnit(Options) int   { return 1 }
-func seedsTimes(k int) func(Options) int {
-	return func(o Options) int { return k * o.Seeds }
-}
-
 // registry maps experiment IDs to runners. Letters follow the paper:
 // (a) Yahoo, (b) Cloudera, (c) Google.
-var registry = map[string]entry{
-	"fig2a": {func(o Options) (*Report, error) { return Fig2(o, "yahoo") }, seedsTimes(4)},
-	"fig2b": {func(o Options) (*Report, error) { return Fig2(o, "cloudera") }, seedsTimes(4)},
-	"fig3":  {Fig3, singleUnit},
-	"fig4a": {func(o Options) (*Report, error) { return Fig4(o, "yahoo") }, seedUnits},
-	"fig4b": {func(o Options) (*Report, error) { return Fig4(o, "cloudera") }, seedUnits},
-	"fig4c": {func(o Options) (*Report, error) { return Fig4(o, "google") }, seedUnits},
-	"fig6":  {Fig6, singleUnit},
-	"fig7a": {func(o Options) (*Report, error) { return Fig7(o, "yahoo") }, sweepUnits},
-	"fig7b": {func(o Options) (*Report, error) { return Fig7(o, "cloudera") }, sweepUnits},
-	"fig7c": {func(o Options) (*Report, error) { return Fig7(o, "google") }, sweepUnits},
-	"fig8a": {func(o Options) (*Report, error) { return Fig8(o, "yahoo") }, sweepUnits},
-	"fig8b": {func(o Options) (*Report, error) { return Fig8(o, "cloudera") }, sweepUnits},
-	"fig8c": {func(o Options) (*Report, error) { return Fig8(o, "google") }, sweepUnits},
-	"fig9":  {Fig9, seedsTimes(2)},
-	"fig10": {Fig10, sweepUnits},
-	"fig11": {Fig11, sweepUnits},
-	// TableIII runs one repetition per workload profile.
-	"table2": {TableII, seedUnits},
-	"table3": {TableIII, func(Options) int { return 3 }},
+var registry = map[string]Runner{
+	"fig2a":  func(o Options) (*Report, error) { return Fig2(o, "yahoo") },
+	"fig2b":  func(o Options) (*Report, error) { return Fig2(o, "cloudera") },
+	"fig3":   Fig3,
+	"fig4a":  func(o Options) (*Report, error) { return Fig4(o, "yahoo") },
+	"fig4b":  func(o Options) (*Report, error) { return Fig4(o, "cloudera") },
+	"fig4c":  func(o Options) (*Report, error) { return Fig4(o, "google") },
+	"fig6":   Fig6,
+	"fig7a":  func(o Options) (*Report, error) { return Fig7(o, "yahoo") },
+	"fig7b":  func(o Options) (*Report, error) { return Fig7(o, "cloudera") },
+	"fig7c":  func(o Options) (*Report, error) { return Fig7(o, "google") },
+	"fig8a":  func(o Options) (*Report, error) { return Fig8(o, "yahoo") },
+	"fig8b":  func(o Options) (*Report, error) { return Fig8(o, "cloudera") },
+	"fig8c":  func(o Options) (*Report, error) { return Fig8(o, "google") },
+	"fig9":   Fig9,
+	"fig10":  Fig10,
+	"fig11":  Fig11,
+	"table2": TableII,
+	"table3": TableIII,
 	// Supporting design-space explorations (paper §V-A / §VI-C prose):
 	// five parameter settings each.
-	"sens-probe":     {SensProbeRatio, seedsTimes(5)},
-	"sens-heartbeat": {SensHeartbeat, seedsTimes(5)},
-	// Extensions beyond the paper's figures. Factors: designspace = 6
-	// schedulers; failures = 3 rates x 3 schedulers; faultcampaign = 2
-	// scenarios x 6 schedulers; fairness = 2 schedulers.
-	"ext-designspace":   {DesignSpace, seedsTimes(6)},
-	"ext-placement":     {PlacementImpact, seedUnits},
-	"ext-failures":      {FailureImpact, seedsTimes(9)},
-	"ext-faultcampaign": {FaultCampaign, seedsTimes(12)},
-	"ext-fairness":      {Fairness, seedsTimes(2)},
-	"ext-estimator":     {EstimatorAccuracy, singleUnit},
+	"sens-probe":     SensProbeRatio,
+	"sens-heartbeat": SensHeartbeat,
+	// Extensions beyond the paper's figures.
+	"ext-designspace":   DesignSpace,
+	"ext-placement":     PlacementImpact,
+	"ext-failures":      FailureImpact,
+	"ext-faultcampaign": FaultCampaign,
+	"ext-fairness":      Fairness,
+	"ext-estimator":     EstimatorAccuracy,
 	// Steady state: 6 schedulers in open-loop service mode per seed.
-	"ext-steadystate": {SteadyState, seedsTimes(6)},
+	"ext-steadystate": SteadyState,
 	// Sharded scale-out: 4 shard counts per seed.
-	"ext-sharded": {ShardScaling, seedsTimes(4)},
+	"ext-sharded": ShardScaling,
 	// Gang/preempt/backfill policy compositions: 4 variants per seed.
-	"ext-gang": {GangPolicies, seedsTimes(4)},
+	"ext-gang": GangPolicies,
 	// Admission control: 2 modes x 2 scenarios x 2 arrival shapes per seed.
-	"ext-admission": {AdmissionControl, seedsTimes(8)},
+	"ext-admission": AdmissionControl,
 }
 
 // IDs lists every experiment identifier in sorted order.
@@ -88,20 +62,9 @@ func IDs() []string {
 
 // Run regenerates the experiment with the given ID.
 func Run(id string, opts Options) (*Report, error) {
-	e, ok := registry[id]
+	run, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
 	}
-	return e.run(opts)
-}
-
-// Units reports how many independent work units the experiment with the
-// given ID decomposes into under opts — the fan-out the -jobs worker pool
-// distributes. It never runs anything.
-func Units(id string, opts Options) (int, error) {
-	e, ok := registry[id]
-	if !ok {
-		return 0, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
-	}
-	return e.units(opts), nil
+	return run(opts)
 }

@@ -16,8 +16,7 @@ import (
 // The determinism battery: every registered experiment must produce
 // byte-identical CSV rows at -jobs 8 and -jobs 1. Run under -race this also
 // shakes out unsynchronized access to the shared cluster and MatchCache.
-// The jobs=8 run carries a PoolStats so the registry's advertised unit
-// count is cross-checked against what the runner actually executed.
+// The jobs=8 run carries a PoolStats, which must record busy time.
 func TestJobsDeterminismEveryExperiment(t *testing.T) {
 	base := tinyOptions()
 	base.Seeds = 2 // >1 so per-seed units genuinely interleave
@@ -42,13 +41,6 @@ func TestJobsDeterminismEveryExperiment(t *testing.T) {
 
 			if got, want := parRep.CSV(), seqRep.CSV(); got != want {
 				t.Errorf("jobs=8 CSV differs from jobs=1:\n--- jobs=1 ---\n%s--- jobs=8 ---\n%s", want, got)
-			}
-			units, err := Units(id, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := par.Stats.Units(); got != int64(units) {
-				t.Errorf("registry advertises %d units, runner executed %d", units, got)
 			}
 			if par.Stats.Busy() <= 0 {
 				t.Error("PoolStats recorded no busy time")

@@ -240,9 +240,9 @@ func TestInvariantsHoldUnderEachInjector(t *testing.T) {
 	}
 }
 
-// TestFaultCampaignSmoke is the `make faults` CI target: the mixed
+// TestFaultCampaignSmoke is the fault-campaign CI smoke: the mixed
 // scenario against every bundled scheduler, with the invariant checker
-// attached (run under -race in CI).
+// attached (run under -race by CI's `go test -race ./internal/...`).
 func TestFaultCampaignSmoke(t *testing.T) {
 	e := newEnv(t)
 	sc := e.mixed()

@@ -26,12 +26,9 @@ type Driver struct {
 	rng       *simulation.RNG
 	scheduler Scheduler
 
-	// Optional hooks, resolved once at construction.
-	heartbeatH HeartbeatHandler
-	idleH      IdleHandler
-	completeH  CompletionHandler
-	stickyP    StickyProvider
-	startObs   StartObserver
+	// hooks are the scheduler's optional hooks, resolved once at
+	// construction (HooksOf).
+	hooks Hooks
 
 	// observers receive every driver state transition (AttachObserver);
 	// empty for plain runs so the notification helpers cost one length
@@ -153,11 +150,7 @@ func newDriver(cfg Config, cl *cluster.Cluster, tr *trace.Trace, s Scheduler, se
 	}
 	d.longOccupied = bitset.New(cl.Size())
 	d.downSet = bitset.New(cl.Size())
-	d.heartbeatH, _ = s.(HeartbeatHandler)
-	d.idleH, _ = s.(IdleHandler)
-	d.completeH, _ = s.(CompletionHandler)
-	d.stickyP, _ = s.(StickyProvider)
-	d.startObs, _ = s.(StartObserver)
+	d.hooks = HooksOf(s)
 	return d, nil
 }
 
@@ -312,7 +305,7 @@ func (d *Driver) Run() (*Result, error) {
 			d.scheduler.SubmitJob(d, js)
 		})
 	}
-	if d.heartbeatH != nil {
+	if d.hooks.Heartbeat != nil {
 		d.engine.Schedule(d.cfg.Heartbeat, d.heartbeat)
 	}
 	if d.cfg.FailureRatePerHour > 0 {
@@ -350,7 +343,7 @@ func (d *Driver) newJobState(job *trace.Job) *JobState {
 }
 
 func (d *Driver) heartbeat(now simulation.Time) {
-	d.heartbeatH.OnHeartbeat(d, now)
+	d.hooks.Heartbeat.OnHeartbeat(d, now)
 	// In service mode the heartbeat must outlive momentary empty queues:
 	// admission being open means more jobs are coming. Batch runs never set
 	// admissionOpen, so their stopping condition is unchanged.
@@ -427,8 +420,8 @@ func (d *Driver) recoverWorker(w *Worker) {
 		return
 	}
 	d.tryDispatch(w)
-	if w.running == nil && len(w.queue) == 0 && d.idleH != nil {
-		d.idleH.OnWorkerIdle(d, w)
+	if w.running == nil && len(w.queue) == 0 && d.hooks.Idle != nil {
+		d.hooks.Idle.OnWorkerIdle(d, w)
 	}
 }
 
@@ -727,8 +720,8 @@ func (d *Driver) startTask(w *Worker, e *Entry, task *trace.Task) {
 		start += d.cfg.NetworkDelay
 	}
 	e.Job.recordTask(start - e.Job.Job.Arrival)
-	if d.startObs != nil {
-		d.startObs.OnTaskStart(d, w, e, d.engine.Now()-e.Enqueued)
+	if d.hooks.Start != nil {
+		d.hooks.Start.OnTaskStart(d, w, e, d.engine.Now()-e.Enqueued)
 	}
 	w.running = e
 	w.runningTask = task
@@ -787,21 +780,21 @@ func (d *Driver) completeTask(w *Worker) {
 	d.releaseLong(w, e)
 	js.done++
 	d.notifyComplete(w, js, task)
-	if d.completeH != nil {
-		d.completeH.OnTaskComplete(d, w, js, task)
+	if d.hooks.Completion != nil {
+		d.hooks.Completion.OnTaskComplete(d, w, js, task)
 	}
 	if js.Finished() {
 		d.finishJob(js, now)
-	} else if d.stickyP != nil {
-		if next := d.stickyP.NextSticky(d, w, js); next != nil {
+	} else if d.hooks.Sticky != nil {
+		if next := d.hooks.Sticky.NextSticky(d, w, js); next != nil {
 			d.runSticky(w, js, next)
 		}
 	}
 	if w.running == nil {
 		d.tryDispatch(w)
 	}
-	if w.running == nil && len(w.queue) == 0 && d.idleH != nil {
-		d.idleH.OnWorkerIdle(d, w)
+	if w.running == nil && len(w.queue) == 0 && d.hooks.Idle != nil {
+		d.hooks.Idle.OnWorkerIdle(d, w)
 	}
 }
 

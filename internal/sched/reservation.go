@@ -73,8 +73,8 @@ func (d *Driver) ReleaseReservation(w *Worker) bool {
 	d.clearReservation(w)
 	if !w.failed && w.running == nil {
 		d.tryDispatch(w)
-		if w.running == nil && len(w.queue) == 0 && d.idleH != nil {
-			d.idleH.OnWorkerIdle(d, w)
+		if w.running == nil && len(w.queue) == 0 && d.hooks.Idle != nil {
+			d.hooks.Idle.OnWorkerIdle(d, w)
 		}
 	}
 	return true

@@ -8,8 +8,9 @@
 // A Scheduler receives job submissions and decides where to enqueue work;
 // the driver owns everything else — virtual time, task execution, metric
 // collection. Optional interfaces (HeartbeatHandler, IdleHandler,
-// CompletionHandler, StickyProvider, PolicyProvider) let schedulers hook
-// the mechanisms they need without every scheduler paying for all of them.
+// CompletionHandler, StickyProvider, StartObserver) let schedulers hook
+// the mechanisms they need without every scheduler paying for all of them;
+// HooksOf resolves them, with the read-only telemetry views, in one place.
 package sched
 
 import (

@@ -119,7 +119,7 @@ func (d *Driver) RunService(ctx context.Context, horizon simulation.Time) (*Serv
 		// exclusive and deterministic.
 		d.engine.Schedule(horizon, func(simulation.Time) { d.closeAdmission() })
 	}
-	if d.heartbeatH != nil {
+	if d.hooks.Heartbeat != nil {
 		d.engine.Schedule(d.cfg.Heartbeat, d.heartbeat)
 	}
 	if d.cfg.FailureRatePerHour > 0 {

@@ -21,10 +21,7 @@ package policies
 import (
 	"fmt"
 
-	"github.com/phoenix-sched/phoenix/internal/constraint"
 	"github.com/phoenix-sched/phoenix/internal/sched"
-	"github.com/phoenix-sched/phoenix/internal/simulation"
-	"github.com/phoenix-sched/phoenix/internal/trace"
 )
 
 func init() {
@@ -71,116 +68,19 @@ func Wrap(inner sched.Scheduler, names []string) (sched.Scheduler, error) {
 	return s, nil
 }
 
-// crvSource mirrors telemetry.CRVSource structurally (scheduler packages do
-// not import the telemetry layer), so a policy wrapper around a CRV-keeping
-// scheduler still exposes its monitor to the recorder.
-type crvSource interface {
-	// CRVVector returns the inner scheduler's CRV as of its last refresh.
-	CRVVector() constraint.Vector
-	// CRVHot reports whether any dimension exceeded the CRV threshold.
-	CRVHot() bool
-	// CongestedWorkers reports how many workers are marked congested.
-	CongestedWorkers() int
-}
-
-// gangSource mirrors telemetry.GangSource structurally: the waiting-gang
-// gauge a stacked outer wrapper forwards from the gang policy inside it.
-type gangSource interface {
-	// GangsWaiting reports how many gang jobs are queued for reservations.
-	GangsWaiting() int
-}
-
-// base wraps one inner scheduler and delegates every optional driver hook,
-// resolved once at construction exactly as the driver resolves its own.
-// Policy types embed it and override only the hooks their policy needs.
+// base wraps one inner scheduler and embeds its resolved hooks
+// (sched.HooksOf), so every optional driver hook and telemetry view —
+// including a sharded inner scheduler's per-shard CRV — forwards to the
+// inner scheduler. Policy types embed it and override only the hooks
+// their policy needs.
 type base struct {
-	inner  sched.Scheduler
-	hb     sched.HeartbeatHandler
-	idle   sched.IdleHandler
-	comp   sched.CompletionHandler
-	sticky sched.StickyProvider
-	start  sched.StartObserver
-	crv    crvSource
-	gang   gangSource
+	inner sched.Scheduler
+	sched.Hooks
 }
 
 func newBase(inner sched.Scheduler) base {
-	b := base{inner: inner}
-	b.hb, _ = inner.(sched.HeartbeatHandler)
-	b.idle, _ = inner.(sched.IdleHandler)
-	b.comp, _ = inner.(sched.CompletionHandler)
-	b.sticky, _ = inner.(sched.StickyProvider)
-	b.start, _ = inner.(sched.StartObserver)
-	b.crv, _ = inner.(crvSource)
-	b.gang, _ = inner.(gangSource)
-	return b
+	return base{inner: inner, Hooks: sched.HooksOf(inner)}
 }
 
 // Init initializes the inner scheduler.
 func (b *base) Init(d *sched.Driver) error { return b.inner.Init(d) }
-
-// OnHeartbeat delegates to the inner scheduler's heartbeat, if any.
-func (b *base) OnHeartbeat(d *sched.Driver, now simulation.Time) {
-	if b.hb != nil {
-		b.hb.OnHeartbeat(d, now)
-	}
-}
-
-// OnWorkerIdle delegates to the inner scheduler's idle hook, if any.
-func (b *base) OnWorkerIdle(d *sched.Driver, w *sched.Worker) {
-	if b.idle != nil {
-		b.idle.OnWorkerIdle(d, w)
-	}
-}
-
-// OnTaskComplete delegates to the inner scheduler's completion hook, if any.
-func (b *base) OnTaskComplete(d *sched.Driver, w *sched.Worker, js *sched.JobState, t *trace.Task) {
-	if b.comp != nil {
-		b.comp.OnTaskComplete(d, w, js, t)
-	}
-}
-
-// NextSticky delegates to the inner scheduler's sticky provider; inner
-// schedulers without sticky batching yield nil (no sticky start).
-func (b *base) NextSticky(d *sched.Driver, w *sched.Worker, js *sched.JobState) *trace.Task {
-	if b.sticky != nil {
-		return b.sticky.NextSticky(d, w, js)
-	}
-	return nil
-}
-
-// OnTaskStart delegates to the inner scheduler's start observer, if any.
-func (b *base) OnTaskStart(d *sched.Driver, w *sched.Worker, e *sched.Entry, wait simulation.Time) {
-	if b.start != nil {
-		b.start.OnTaskStart(d, w, e, wait)
-	}
-}
-
-// CRVVector forwards the inner scheduler's CRV (zero when it keeps none).
-func (b *base) CRVVector() constraint.Vector {
-	if b.crv != nil {
-		return b.crv.CRVVector()
-	}
-	return constraint.Vector{}
-}
-
-// CRVHot forwards the inner scheduler's CRV trigger state.
-func (b *base) CRVHot() bool { return b.crv != nil && b.crv.CRVHot() }
-
-// CongestedWorkers forwards the inner scheduler's congestion count.
-func (b *base) CongestedWorkers() int {
-	if b.crv != nil {
-		return b.crv.CongestedWorkers()
-	}
-	return 0
-}
-
-// GangsWaiting forwards a stacked gang policy's waiting gauge (zero when no
-// gang wrapper is inside this one); the Gang type overrides it with its own
-// count.
-func (b *base) GangsWaiting() int {
-	if b.gang != nil {
-		return b.gang.GangsWaiting()
-	}
-	return 0
-}

@@ -29,35 +29,18 @@ func init() {
 	sched.Register("sharded", func() (sched.Scheduler, error) { return New("phoenix", 4) })
 }
 
-// crvSource mirrors telemetry.CRVSource structurally (scheduler packages
-// do not import the telemetry layer): the read-only CRV view a scheduler
-// like Phoenix exposes to the recorder.
-type crvSource interface {
-	// CRVVector returns the instance's CRV as of its last refresh.
-	CRVVector() constraint.Vector
-	// CRVHot reports whether any dimension exceeded the CRV threshold.
-	CRVHot() bool
-	// CongestedWorkers reports how many workers are marked congested.
-	CongestedWorkers() int
-}
-
 // Scheduler is the sharded meta-scheduler: K instances of an inner
 // scheduler, one per shard, behind the sched.Scheduler interface. It
 // implements every optional driver interface and delegates each hook to
-// the owning shard's instance when that instance implements it.
+// the owning shard's instance when that instance implements it; the
+// telemetry views aggregate over the instances.
 type Scheduler struct {
 	inner string
 	insts []sched.Scheduler
 
-	// Per-instance optional hooks, nil where the inner scheduler does not
-	// implement them — resolved once at construction, mirroring the
-	// driver's own hook resolution.
-	hb     []sched.HeartbeatHandler
-	idle   []sched.IdleHandler
-	comp   []sched.CompletionHandler
-	sticky []sched.StickyProvider
-	start  []sched.StartObserver
-	crv    []crvSource
+	// hooks are each instance's optional hooks and views, resolved once
+	// at construction (sched.HooksOf).
+	hooks []sched.Hooks
 
 	plan *cluster.ShardPlan
 	// rr round-robins unconstrained (and unsatisfiable) jobs over shards.
@@ -78,14 +61,9 @@ func NewWith(inner string, shards int, f sched.Factory) (*Scheduler, error) {
 		return nil, fmt.Errorf("sharded: shard count %d < 1", shards)
 	}
 	s := &Scheduler{
-		inner:  inner,
-		insts:  make([]sched.Scheduler, shards),
-		hb:     make([]sched.HeartbeatHandler, shards),
-		idle:   make([]sched.IdleHandler, shards),
-		comp:   make([]sched.CompletionHandler, shards),
-		sticky: make([]sched.StickyProvider, shards),
-		start:  make([]sched.StartObserver, shards),
-		crv:    make([]crvSource, shards),
+		inner: inner,
+		insts: make([]sched.Scheduler, shards),
+		hooks: make([]sched.Hooks, shards),
 	}
 	for k := range s.insts {
 		inst, err := f()
@@ -93,12 +71,7 @@ func NewWith(inner string, shards int, f sched.Factory) (*Scheduler, error) {
 			return nil, fmt.Errorf("sharded: shard %d: %w", k, err)
 		}
 		s.insts[k] = inst
-		s.hb[k], _ = inst.(sched.HeartbeatHandler)
-		s.idle[k], _ = inst.(sched.IdleHandler)
-		s.comp[k], _ = inst.(sched.CompletionHandler)
-		s.sticky[k], _ = inst.(sched.StickyProvider)
-		s.start[k], _ = inst.(sched.StartObserver)
-		s.crv[k], _ = inst.(crvSource)
+		s.hooks[k] = sched.HooksOf(inst)
 	}
 	return s, nil
 }
@@ -170,15 +143,14 @@ func (s *Scheduler) SubmitJob(d *sched.Driver, js *sched.JobState) {
 // to each shard instance that handles heartbeats, in shard order.
 func (s *Scheduler) OnHeartbeat(d *sched.Driver, now simulation.Time) {
 	if !s.sharded() {
-		if s.hb[0] != nil {
-			s.hb[0].OnHeartbeat(d, now)
-		}
+		s.hooks[0].OnHeartbeat(d, now)
 		return
 	}
 	for k := range s.insts {
 		d.SyncShardView(k)
 	}
-	for k, h := range s.hb {
+	for k := range s.hooks {
+		h := s.hooks[k].Heartbeat
 		if h == nil {
 			continue
 		}
@@ -191,22 +163,22 @@ func (s *Scheduler) OnHeartbeat(d *sched.Driver, now simulation.Time) {
 // OnWorkerIdle delegates to the instance owning w's shard.
 func (s *Scheduler) OnWorkerIdle(d *sched.Driver, w *sched.Worker) {
 	k := s.shardOf(w)
-	if s.idle[k] == nil {
+	if s.hooks[k].Idle == nil {
 		return
 	}
 	s.enter(d, k)
-	s.idle[k].OnWorkerIdle(d, w)
+	s.hooks[k].Idle.OnWorkerIdle(d, w)
 	s.leave(d)
 }
 
 // OnTaskComplete delegates to the instance owning w's shard.
 func (s *Scheduler) OnTaskComplete(d *sched.Driver, w *sched.Worker, js *sched.JobState, t *trace.Task) {
 	k := s.shardOf(w)
-	if s.comp[k] == nil {
+	if s.hooks[k].Completion == nil {
 		return
 	}
 	s.enter(d, k)
-	s.comp[k].OnTaskComplete(d, w, js, t)
+	s.hooks[k].Completion.OnTaskComplete(d, w, js, t)
 	s.leave(d)
 }
 
@@ -214,11 +186,11 @@ func (s *Scheduler) OnTaskComplete(d *sched.Driver, w *sched.Worker, js *sched.J
 // without sticky batching yield nil (no sticky start).
 func (s *Scheduler) NextSticky(d *sched.Driver, w *sched.Worker, js *sched.JobState) *trace.Task {
 	k := s.shardOf(w)
-	if s.sticky[k] == nil {
+	if s.hooks[k].Sticky == nil {
 		return nil
 	}
 	s.enter(d, k)
-	t := s.sticky[k].NextSticky(d, w, js)
+	t := s.hooks[k].Sticky.NextSticky(d, w, js)
 	s.leave(d)
 	return t
 }
@@ -226,11 +198,11 @@ func (s *Scheduler) NextSticky(d *sched.Driver, w *sched.Worker, js *sched.JobSt
 // OnTaskStart delegates to the instance owning w's shard.
 func (s *Scheduler) OnTaskStart(d *sched.Driver, w *sched.Worker, e *sched.Entry, wait simulation.Time) {
 	k := s.shardOf(w)
-	if s.start[k] == nil {
+	if s.hooks[k].Start == nil {
 		return
 	}
 	s.enter(d, k)
-	s.start[k].OnTaskStart(d, w, e, wait)
+	s.hooks[k].Start.OnTaskStart(d, w, e, wait)
 	s.leave(d)
 }
 
@@ -261,11 +233,8 @@ func (s *Scheduler) leave(d *sched.Driver) {
 // the cluster is as contended on a dimension as its most contended shard.
 func (s *Scheduler) CRVVector() constraint.Vector {
 	var v constraint.Vector
-	for _, src := range s.crv {
-		if src == nil {
-			continue
-		}
-		sv := src.CRVVector()
+	for k := range s.hooks {
+		sv := s.hooks[k].CRVVector()
 		for i := range v {
 			if sv[i] > v[i] {
 				v[i] = sv[i]
@@ -277,8 +246,8 @@ func (s *Scheduler) CRVVector() constraint.Vector {
 
 // CRVHot reports whether any shard's monitor is hot.
 func (s *Scheduler) CRVHot() bool {
-	for _, src := range s.crv {
-		if src != nil && src.CRVHot() {
+	for k := range s.hooks {
+		if s.hooks[k].CRVHot() {
 			return true
 		}
 	}
@@ -289,10 +258,18 @@ func (s *Scheduler) CRVHot() bool {
 // are disjoint, so the sum never double-counts).
 func (s *Scheduler) CongestedWorkers() int {
 	n := 0
-	for _, src := range s.crv {
-		if src != nil {
-			n += src.CongestedWorkers()
-		}
+	for k := range s.hooks {
+		n += s.hooks[k].CongestedWorkers()
+	}
+	return n
+}
+
+// GangsWaiting sums the shard instances' waiting-gang gauges (zero when
+// no instance queues gangs).
+func (s *Scheduler) GangsWaiting() int {
+	n := 0
+	for k := range s.hooks {
+		n += s.hooks[k].GangsWaiting()
 	}
 	return n
 }
@@ -300,9 +277,4 @@ func (s *Scheduler) CongestedWorkers() int {
 // ShardCRV returns shard k's own CRV as of its monitor's last refresh, a
 // zero vector when the inner scheduler keeps no CRV state. Telemetry uses
 // it for the per-shard CRV columns.
-func (s *Scheduler) ShardCRV(k int) constraint.Vector {
-	if src := s.crv[k]; src != nil {
-		return src.CRVVector()
-	}
-	return constraint.Vector{}
-}
+func (s *Scheduler) ShardCRV(k int) constraint.Vector { return s.hooks[k].CRVVector() }

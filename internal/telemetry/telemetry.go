@@ -38,45 +38,17 @@ import (
 // threshold. It matches Phoenix's default CRV threshold.
 const DefaultCRVThreshold = 0.25
 
-// CRVSource is implemented by schedulers that maintain their own CRV state
-// (Phoenix's monitor). When a source is supplied, each sample additionally
-// records the scheduler's view — whether its monitor considered the
-// cluster contended and how many workers it marked congested — alongside
-// the queue-derived CRV (sched.Driver.QueueCRV), which is the same for
-// every scheduler. The methods must be read-only.
-type CRVSource interface {
-	// CRVVector returns the scheduler's CRV as of its last refresh.
-	CRVVector() constraint.Vector
-	// CRVHot reports whether any dimension exceeded the scheduler's CRV
-	// threshold at the last refresh.
-	CRVHot() bool
-	// CongestedWorkers reports how many workers the scheduler currently
-	// marks congested.
-	CongestedWorkers() int
-}
-
-// ShardCRVSource is implemented by CRV sources that additionally maintain
-// per-shard CRV state (the sharded meta-scheduler). When the supplied
-// Options.CRV also implements it, each sample records every shard's
-// maximum CRV element and the CSV gains one crv_max_shard<k> column per
-// shard — the per-partition contention view a global max would hide. The
-// methods must be read-only.
-type ShardCRVSource interface {
-	// NumShards reports the (fixed) shard count.
-	NumShards() int
-	// ShardCRV returns shard k's CRV as of its monitor's last refresh.
-	ShardCRV(k int) constraint.Vector
-}
-
-// GangSource is implemented by schedulers that queue gang jobs for
-// all-or-nothing co-placement (the gang policy plug-in, and wrappers that
-// forward a stacked one). When a source is supplied, each sample records
-// how many gangs were waiting on reservations — the gauge behind the
-// gangs_waiting CSV column. The method must be read-only.
-type GangSource interface {
-	// GangsWaiting reports how many gang jobs are queued for reservations.
-	GangsWaiting() int
-}
+// CRVSource, ShardCRVSource and GangSource are the scheduler views a
+// Recorder samples; they are declared in sched, next to the hooks HooksOf
+// resolves with them.
+type (
+	// CRVSource is the scheduler's own CRV state (sched.CRVSource).
+	CRVSource = sched.CRVSource
+	// ShardCRVSource is a per-shard CRV view (sched.ShardCRVSource).
+	ShardCRVSource = sched.ShardCRVSource
+	// GangSource is the waiting-gang gauge (sched.GangSource).
+	GangSource = sched.GangSource
+)
 
 // AdmissionSource is implemented by admission-control policies that scope
 // constraint relaxation per dimension (internal/admission's feedback
@@ -259,7 +231,7 @@ func Attach(d *sched.Driver, opts Options) *Recorder {
 		waitHist:  NewLatencyHistogram(),
 		respHist:  NewLatencyHistogram(),
 	}
-	if src, ok := opts.CRV.(ShardCRVSource); ok {
+	if src, ok := opts.CRV.(ShardCRVSource); ok && src.NumShards() > 0 {
 		r.shardSrc = src
 		r.numShards = src.NumShards()
 	}
