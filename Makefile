@@ -34,10 +34,11 @@ bench:
 
 # Hot-path microbenchmarks, one iteration each: a cheap CI smoke that the
 # match cache, streaming counts, candidate lookup, central placement,
-# probe sampling and the heartbeat's CRV reads (each beside its in-run
-# reference) still compile, run, and report their allocation profiles.
+# probe sampling, the heartbeat's CRV reads, the memoized P-K estimates and
+# the full Phoenix heartbeat (each beside its in-run reference) still
+# compile, run, and report their allocation profiles.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'MatchCache|Satisfying|CandidateWorkers|CentralPlacement|SampleWorkers|HeartbeatCRV' -benchtime=1x -benchmem ./internal/cluster/ ./internal/sched/ .
+	$(GO) test -run '^$$' -bench 'MatchCache|Satisfying|CandidateWorkers|CentralPlacement|SampleWorkers|HeartbeatCRV|EstimateWait|Heartbeat$$' -benchtime=1x -benchmem ./internal/cluster/ ./internal/sched/ ./internal/core/ .
 
 # Godoc coverage gate: fail on any exported identifier without a doc
 # comment in the gated packages (docs-check's defaultDirs is the single
@@ -64,8 +65,11 @@ smoke:
 # Nightly regression gate (see .github/workflows/nightly.yml): diff the
 # golden digest corpus at scale 0.05, re-run the scale-1.0 reference and
 # diff its digest against results/digest-scale1.golden, then run the
-# engine + service benchmarks and gate ns/op against the committed
-# BENCH_*.json baselines via cmd/benchgate (>15% regression fails).
+# engine, service, placement and heartbeat benchmarks and gate them against
+# the committed BENCH_*.json records via cmd/benchgate: ns/op against the
+# baseline (>15% regression fails), and, where a record sets them, its
+# ns/op over its in-run reference's (max_ratio) and its allocs/op
+# (max_allocs).
 NIGHTLY_BENCH ?= /tmp/nightly-bench.txt
 nightly:
 	$(GO) test -count=1 -run 'TestGoldenDigestCorpus' ./internal/experiments/
@@ -77,7 +81,9 @@ nightly:
 	$(GO) test -run '^$$' -bench 'BenchmarkSharded' -benchmem -benchtime=3x . >> $(NIGHTLY_BENCH)
 	$(GO) test -run '^$$' -bench 'BenchmarkGang$$' -benchmem -benchtime=3x . >> $(NIGHTLY_BENCH)
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmission$$' -benchmem -benchtime=2s ./internal/admission/ >> $(NIGHTLY_BENCH)
-	$(GO) run ./cmd/benchgate -threshold 0.15 -input $(NIGHTLY_BENCH) results/BENCH_engine.json results/BENCH_service.json results/BENCH_sharded.json results/BENCH_gang.json results/BENCH_admission.json
+	$(GO) test -run '^$$' -bench 'CentralPlacement|SampleWorkers|HeartbeatCRV|EstimateWait' -benchmem ./internal/sched/ >> $(NIGHTLY_BENCH)
+	$(GO) test -run '^$$' -bench 'BenchmarkHeartbeat$$' -benchmem -benchtime=104x ./internal/core/ >> $(NIGHTLY_BENCH)
+	$(GO) run ./cmd/benchgate -threshold 0.15 -input $(NIGHTLY_BENCH) results/BENCH_engine.json results/BENCH_service.json results/BENCH_sharded.json results/BENCH_gang.json results/BENCH_admission.json results/BENCH_placement.json results/BENCH_heartbeat.json
 
 # Nightly run-report artifact (see .github/workflows/nightly.yml): re-run
 # the scale-1.0 phoenix/google reference with telemetry attached and write

@@ -18,10 +18,19 @@
 // and fails when the fresh ns/op exceeds baseline*(1+threshold), or when a
 // baselined benchmark is missing from the fresh output entirely (a rename
 // must update the baseline, not silently escape the gate).
+//
+// A record may also carry in-run gates, which compare figures of the same
+// input instead of a baseline from another host:
+//
+//   - ratio_to/max_ratio: fail when the record's fresh ns/op divided by the
+//     fresh ns/op of the ratio_to benchmark exceeds max_ratio;
+//   - max_allocs: fail when the record's fresh allocs/op exceeds it (the
+//     input must come from a -benchmem run).
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -36,6 +45,12 @@ type record struct {
 	Benchmark string  `json:"benchmark"`
 	Package   string  `json:"package"`
 	History   []entry `json:"history"`
+	// RatioTo names the in-run reference benchmark; MaxRatio bounds this
+	// record's ns/op over the reference's.
+	RatioTo  string  `json:"ratio_to"`
+	MaxRatio float64 `json:"max_ratio"`
+	// MaxAllocs bounds allocs/op; nil means no bound.
+	MaxAllocs *float64 `json:"max_allocs"`
 }
 
 // entry is one measurement in a record's history; the last entry is the
@@ -66,7 +81,10 @@ func loadBaselines(path string) ([]record, error) {
 // parseBench extracts benchmark-name -> ns/op from `go test -bench` text
 // output, stripping the -N GOMAXPROCS suffix from names. Duplicate names
 // (e.g. -count > 1) keep the last measurement.
-func parseBench(r io.Reader) (map[string]float64, error) {
+func parseBench(r io.Reader) (map[string]float64, error) { return parseUnit(r, "ns/op") }
+
+// parseUnit is parseBench for any reported unit, e.g. "allocs/op".
+func parseUnit(r io.Reader, unit string) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -82,17 +100,55 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 			}
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
-			if fields[i+1] != "ns/op" {
+			if fields[i+1] != unit {
 				continue
 			}
-			ns, err := strconv.ParseFloat(fields[i], 64)
+			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad ns/op value %q for %s", fields[i], name)
+				return nil, fmt.Errorf("bad %s value %q for %s", unit, fields[i], name)
 			}
-			out[name] = ns
+			out[name] = v
 		}
 	}
 	return out, sc.Err()
+}
+
+// inRunGates applies rec's ratio_to/max_ratio and max_allocs gates to the
+// fresh ns/op and allocs/op figures of one input. It returns one report
+// line per gate and how many of them failed; a gated figure missing from
+// the input fails its gate.
+func inRunGates(rec record, ns, allocs map[string]float64) (lines []string, failed int) {
+	if rec.RatioTo != "" {
+		cur, ok1 := ns[rec.Benchmark]
+		ref, ok2 := ns[rec.RatioTo]
+		switch {
+		case !ok1 || !ok2 || ref <= 0:
+			lines = append(lines, fmt.Sprintf("%s / %s: MISSING from fresh output", rec.Benchmark, rec.RatioTo))
+			failed++
+		default:
+			r := cur / ref
+			verdict := ""
+			if rec.MaxRatio > 0 && r > rec.MaxRatio {
+				verdict = fmt.Sprintf("  FAIL (> %.3g)", rec.MaxRatio)
+				failed++
+			}
+			lines = append(lines, fmt.Sprintf("%s / %s: ratio %.3f (max %.3g)%s", rec.Benchmark, rec.RatioTo, r, rec.MaxRatio, verdict))
+		}
+	}
+	if rec.MaxAllocs != nil {
+		a, ok := allocs[rec.Benchmark]
+		switch {
+		case !ok:
+			lines = append(lines, fmt.Sprintf("%s: allocs/op MISSING from fresh output (run with -benchmem)", rec.Benchmark))
+			failed++
+		case a > *rec.MaxAllocs:
+			lines = append(lines, fmt.Sprintf("%s: %.0f allocs/op  FAIL (> %.0f)", rec.Benchmark, a, *rec.MaxAllocs))
+			failed++
+		default:
+			lines = append(lines, fmt.Sprintf("%s: %.0f allocs/op (max %.0f)", rec.Benchmark, a, *rec.MaxAllocs))
+		}
+	}
+	return lines, failed
 }
 
 func main() {
@@ -104,21 +160,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	in := io.Reader(os.Stdin)
+	var data []byte
+	var err error
 	if *input != "" {
-		f, err := os.Open(*input)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		in = f
+		data, err = os.ReadFile(*input)
+	} else {
+		data, err = io.ReadAll(os.Stdin)
 	}
-	fresh, err := parseBench(in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
+	fresh, err := parseBench(bytes.NewReader(data))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(2)
+	}
+	allocs, err := parseUnit(bytes.NewReader(data), "allocs/op")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(2)
+	}
+	var inRun []string
 
 	failed := 0
 	fmt.Printf("%-50s %14s %14s %8s\n", "benchmark", "baseline ns/op", "current ns/op", "delta")
@@ -148,6 +211,15 @@ func main() {
 				failed++
 			}
 			fmt.Printf("%-50s %14.1f %14.1f %+7.1f%%%s\n", rec.Benchmark, base, cur, delta*100, verdict)
+			lines, n := inRunGates(rec, fresh, allocs)
+			inRun = append(inRun, lines...)
+			failed += n
+		}
+	}
+	if len(inRun) > 0 {
+		fmt.Println("\nin-run gates:")
+		for _, l := range inRun {
+			fmt.Println(l)
 		}
 	}
 	if failed > 0 {

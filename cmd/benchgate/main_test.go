@@ -73,3 +73,73 @@ func TestLoadBaselinesBothShapes(t *testing.T) {
 		t.Fatalf("array shape parsed wrong: %+v", recs)
 	}
 }
+
+func TestParseUnitAllocs(t *testing.T) {
+	out, err := parseUnit(strings.NewReader(
+		"BenchmarkA/memo-2  100  50.0 ns/op  0 B/op  0 allocs/op\n"+
+			"BenchmarkA/reference-2  100  150.0 ns/op  64 B/op  3 allocs/op\n"+
+			"BenchmarkB-2  100  9.0 ns/op\n"), "allocs/op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 || out["BenchmarkA/memo"] != 0 || out["BenchmarkA/reference"] != 3 {
+		t.Fatalf("allocs/op parsed wrong: %v", out)
+	}
+	if _, ok := out["BenchmarkB"]; ok {
+		t.Fatal("a line without allocs/op must not report allocs")
+	}
+}
+
+func TestLoadBaselinesInRunFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ratio.json")
+	if err := os.WriteFile(path, []byte(`[
+		{"benchmark":"BenchmarkA/memo","ratio_to":"BenchmarkA/reference","max_ratio":0.5,"max_allocs":0,"history":[{"ns_per_op":1}]},
+		{"benchmark":"BenchmarkA/reference","history":[{"ns_per_op":2}]}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := loadBaselines(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].RatioTo != "BenchmarkA/reference" || recs[0].MaxRatio != 0.5 ||
+		recs[0].MaxAllocs == nil || *recs[0].MaxAllocs != 0 {
+		t.Fatalf("in-run fields parsed wrong: %+v", recs[0])
+	}
+	if recs[1].RatioTo != "" || recs[1].MaxAllocs != nil {
+		t.Fatalf("absent in-run fields must stay unset: %+v", recs[1])
+	}
+}
+
+func TestInRunGates(t *testing.T) {
+	zero, two := 0.0, 2.0
+	ns := map[string]float64{"memo": 40, "ref": 100, "slow": 80}
+	allocs := map[string]float64{"memo": 0, "ref": 3, "slow": 3}
+	cases := []struct {
+		name   string
+		rec    record
+		failed int
+	}{
+		{"ratio within bound", record{Benchmark: "memo", RatioTo: "ref", MaxRatio: 0.5}, 0},
+		{"ratio over bound", record{Benchmark: "slow", RatioTo: "ref", MaxRatio: 0.5}, 1},
+		{"ratio reference missing", record{Benchmark: "memo", RatioTo: "gone", MaxRatio: 0.5}, 1},
+		{"allocs within bound", record{Benchmark: "memo", MaxAllocs: &zero}, 0},
+		{"allocs over bound", record{Benchmark: "ref", MaxAllocs: &two}, 1},
+		{"allocs missing", record{Benchmark: "nobenchmem", MaxAllocs: &zero}, 1},
+		{"both over", record{Benchmark: "slow", RatioTo: "ref", MaxRatio: 0.5, MaxAllocs: &zero}, 2},
+		{"no in-run gate", record{Benchmark: "slow"}, 0},
+	}
+	for _, tc := range cases {
+		lines, failed := inRunGates(tc.rec, ns, allocs)
+		if failed != tc.failed {
+			t.Errorf("%s: %d failures, want %d (%v)", tc.name, failed, tc.failed, lines)
+		}
+		for _, l := range lines {
+			if strings.Contains(l, "FAIL") || strings.Contains(l, "MISSING") {
+				failed--
+			}
+		}
+		if failed != 0 {
+			t.Errorf("%s: failure count and FAIL/MISSING lines disagree: %v", tc.name, lines)
+		}
+	}
+}

@@ -7,13 +7,13 @@ import (
 	"github.com/phoenix-sched/phoenix/internal/bitset"
 	"github.com/phoenix-sched/phoenix/internal/constraint"
 	"github.com/phoenix-sched/phoenix/internal/sched"
-	"github.com/phoenix-sched/phoenix/internal/simulation"
 )
 
 // Monitor is the CRV node monitor (Figure 5's CRV_Monitor +
 // CRV_Lookup_Table): it owns the cluster-wide Constraint Resource Vector,
 // the per-worker waiting-time estimates, and the set of workers marked for
-// CRV-based reordering. It refreshes on every heartbeat.
+// CRV-based reordering. It refreshes on every heartbeat, re-reading only
+// the estimates the driver reports changed (sched.DrainEstimateChanges).
 type Monitor struct {
 	// vector is the current CRV: per dimension, queued demand divided by
 	// satisfying supply.
@@ -22,8 +22,16 @@ type Monitor struct {
 	// in seconds (+Inf when saturated).
 	lastWait []float64
 	// marked[w] reports whether worker w's estimated wait exceeds the
-	// Qwait threshold.
-	marked []bool
+	// Qwait threshold; markedCount is how many are set.
+	marked      []bool
+	markedCount int
+	// qwait is the Qwait threshold the marks were derived with; NaN
+	// before the first refresh, so that refresh derives every mark.
+	qwait float64
+	// flipped lists the workers whose mark changed since the scheduler
+	// last consumed the list (Scheduler.OnHeartbeat), so the policy flip
+	// touches only those.
+	flipped []int32
 	// hot reports whether any CRV element exceeds the CRV threshold —
 	// the global switch between SRPT and CRV reordering.
 	hot bool
@@ -57,6 +65,7 @@ func NewMonitor(n int) *Monitor {
 	return &Monitor{
 		lastWait:     make([]float64, n),
 		marked:       make([]bool, n),
+		qwait:        math.NaN(),
 		demandCredit: make([]float64, n),
 	}
 }
@@ -120,15 +129,7 @@ func (m *Monitor) Marked(w int) bool { return m.marked[w] }
 
 // MarkedCount reports how many workers were marked congested at the last
 // refresh.
-func (m *Monitor) MarkedCount() int {
-	n := 0
-	for _, b := range m.marked {
-		if b {
-			n++
-		}
-	}
-	return n
-}
+func (m *Monitor) MarkedCount() int { return m.markedCount }
 
 // Wait returns worker w's latest estimated waiting time in seconds.
 func (m *Monitor) Wait(w int) float64 { return m.lastWait[w] }
@@ -146,6 +147,12 @@ func (m *Monitor) Heartbeats() int64 { return m.heartbeats }
 // dimension, the expected number of queued tasks per satisfying worker: the
 // CRV demand/supply ratio of §IV-A. The vector is the driver's shared
 // Driver.QueueCRV, so telemetry and admission read the same scan.
+//
+// Estimates: a worker's P-K estimate changes only when the driver feeds its
+// estimator, so the first refresh (and any refresh with a new Qwait
+// threshold) derives every worker in scope, and later refreshes re-derive
+// only the workers the driver reports changed since. The result equals a
+// full recompute bit for bit.
 func (m *Monitor) Refresh(d *sched.Driver, crvThreshold, qwaitThresholdSeconds float64) bool {
 	m.heartbeats++
 	for i := range m.demandCredit {
@@ -154,19 +161,30 @@ func (m *Monitor) Refresh(d *sched.Driver, crvThreshold, qwaitThresholdSeconds f
 	m.vector = d.QueueCRV()
 	m.hot = m.vector.AnyAbove(crvThreshold)
 
-	for _, w := range d.Workers() {
-		wait, saturated := w.Estimator.EstimateWait()
-		if saturated {
-			wait = math.Inf(1)
+	if qwaitThresholdSeconds != m.qwait {
+		m.qwait = qwaitThresholdSeconds
+		for _, w := range d.Workers() {
+			m.update(w)
 		}
-		m.lastWait[w.ID] = wait
-		m.marked[w.ID] = wait > qwaitThresholdSeconds
 	}
+	d.DrainEstimateChanges(m.update)
 	return m.hot
 }
 
-// waitOf is a comparison key for wait-aware probing: the estimated wait,
-// with the worker's current backlog as tiebreak.
-func (m *Monitor) waitOf(w *sched.Worker, now simulation.Time) (float64, simulation.Time) {
-	return m.lastWait[w.ID], w.Backlog(now)
+// update re-derives worker w's estimate and mark, keeping markedCount and
+// the flipped list.
+func (m *Monitor) update(w *sched.Worker) {
+	wait, _ := w.WaitEstimate() // +Inf when saturated
+	m.lastWait[w.ID] = wait
+	mark := wait > m.qwait
+	if mark == m.marked[w.ID] {
+		return
+	}
+	m.marked[w.ID] = mark
+	if mark {
+		m.markedCount++
+	} else {
+		m.markedCount--
+	}
+	m.flipped = append(m.flipped, int32(w.ID))
 }

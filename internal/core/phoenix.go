@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/phoenix-sched/phoenix/internal/bitset"
 	"github.com/phoenix-sched/phoenix/internal/constraint"
@@ -127,6 +126,14 @@ type Scheduler struct {
 	// policies on transitions instead of sweeping the cluster every beat.
 	crvOn  []bool
 	wasHot bool
+
+	// Probe-rescue scratch, reused across heartbeats: victims holds one
+	// worker's selected probes (selectVictims); targetLoad counts the
+	// beat's migrations per target worker, and targeted lists the workers
+	// it has non-zero, for the reset at the next beat.
+	victims    []victim
+	targetLoad []uint8
+	targeted   []int32
 }
 
 var (
@@ -196,6 +203,8 @@ func (s *Scheduler) Init(d *sched.Driver) error {
 		s.placer.Score = func(w *sched.Worker) float64 { return s.monitor.DemandCredit(w.ID) }
 	}
 	d.SetAllPolicies(s.srpt)
+	s.victims = make([]victim, 0, s.opts.RescheduleBudget)
+	s.targetLoad = make([]uint8, d.Cluster().Size())
 	return nil
 }
 
@@ -235,26 +244,25 @@ func rareFamilyWorkers(d *sched.Driver, frac float64) *bitset.Set {
 func (s *Scheduler) OnHeartbeat(d *sched.Driver, now simulation.Time) {
 	hot := s.monitor.Refresh(d, s.opts.CRVThreshold, s.opts.QwaitThresholdSeconds)
 	if s.opts.CRVReordering {
-		// Batched policy flip: the hot/marked decision is one monitor pass;
-		// per-worker writes happen only on transitions. Two consecutive cold
-		// beats touch no worker at all — the common case off-peak, where the
-		// per-beat cluster sweep used to dominate heartbeat cost.
-		if hot {
+		// Batched policy flip: per-worker writes happen only where the
+		// policy must change. After a hot beat every worker's policy
+		// matches its mark, so a following hot beat visits only the workers
+		// whose mark flipped since; a cold-to-hot or hot-to-cold transition
+		// sweeps the scope once, and two consecutive cold beats touch no
+		// worker at all.
+		switch {
+		case hot && s.wasHot:
+			for _, id := range s.monitor.flipped {
+				s.applyMark(d, d.Worker(int(id)))
+			}
+		case hot:
 			if s.crvOn == nil {
 				s.crvOn = make([]bool, d.Cluster().Size())
 			}
 			for _, w := range d.Workers() {
-				want := s.monitor.Marked(w.ID)
-				if want != s.crvOn[w.ID] {
-					if want {
-						d.SetPolicy(w, s.crv)
-					} else {
-						d.SetPolicy(w, s.srpt)
-					}
-					s.crvOn[w.ID] = want
-				}
+				s.applyMark(d, w)
 			}
-		} else if s.wasHot {
+		case s.wasHot:
 			for _, w := range d.Workers() {
 				if s.crvOn[w.ID] {
 					d.SetPolicy(w, s.srpt)
@@ -264,6 +272,7 @@ func (s *Scheduler) OnHeartbeat(d *sched.Driver, now simulation.Time) {
 		}
 		s.wasHot = hot
 	}
+	s.monitor.flipped = s.monitor.flipped[:0]
 	if s.opts.RescheduleBudget > 0 {
 		// Per-beat caps: a congested cluster can have thousands of marked
 		// workers all wanting to dump probes on the few calm ones; without
@@ -274,19 +283,37 @@ func (s *Scheduler) OnHeartbeat(d *sched.Driver, now simulation.Time) {
 			globalBudget = s.opts.RescheduleBudget
 		}
 		overdue := simulation.Time(s.opts.StuckWaitSeconds * float64(simulation.Second))
-		targetLoad := make(map[int]int)
+		for _, id := range s.targeted {
+			s.targetLoad[id] = 0
+		}
+		s.targeted = s.targeted[:0]
 		for _, w := range d.Workers() {
 			if globalBudget <= 0 {
 				break
 			}
 			switch {
 			case hot && s.monitor.Marked(w.ID):
-				globalBudget -= s.rescheduleStuckProbes(d, w, targetLoad, globalBudget, 0, now)
+				globalBudget -= s.rescheduleStuckProbes(d, w, globalBudget, 0, now)
 			case overdue > 0:
-				globalBudget -= s.rescheduleStuckProbes(d, w, targetLoad, globalBudget, overdue, now)
+				globalBudget -= s.rescheduleStuckProbes(d, w, globalBudget, overdue, now)
 			}
 		}
 	}
+}
+
+// applyMark switches w to the policy its congestion mark calls for, if it
+// is not running it already.
+func (s *Scheduler) applyMark(d *sched.Driver, w *sched.Worker) {
+	want := s.monitor.Marked(w.ID)
+	if want == s.crvOn[w.ID] {
+		return
+	}
+	if want {
+		d.SetPolicy(w, s.crv)
+	} else {
+		d.SetPolicy(w, s.srpt)
+	}
+	s.crvOn[w.ID] = want
 }
 
 // rescheduleStuckProbes migrates up to RescheduleBudget constrained short
@@ -298,54 +325,66 @@ func (s *Scheduler) OnHeartbeat(d *sched.Driver, now simulation.Time) {
 // targetLoad tracks per-beat arrivals per target so no calm worker absorbs
 // more than a couple of migrations; the return value counts moves
 // performed, bounded by remaining.
-func (s *Scheduler) rescheduleStuckProbes(d *sched.Driver, w *sched.Worker, targetLoad map[int]int, remaining int, minWait simulation.Time, now simulation.Time) int {
+func (s *Scheduler) rescheduleStuckProbes(d *sched.Driver, w *sched.Worker, remaining int, minWait simulation.Time, now simulation.Time) int {
 	budget := s.opts.RescheduleBudget
 	if budget > remaining {
 		budget = remaining
 	}
-	// Collect victims first: moving entries mutates the queue. Scan the
-	// whole queue and keep the longest-waiting probes — those are the
-	// entries forming the response-time tail.
-	type victim struct {
-		idx int
-		e   *sched.Entry
-	}
-	var victims []victim
-	for i, e := range w.Queue() {
-		if !e.IsProbe() || !e.Job.Short || !e.Job.Constrained || e.Job.Unclaimed() == 0 {
-			continue
-		}
-		if minWait > 0 && now-e.Enqueued < minWait {
-			continue
-		}
-		victims = append(victims, victim{i, e})
-	}
-	sort.SliceStable(victims, func(a, b int) bool {
-		return victims[a].e.Enqueued < victims[b].e.Enqueued
-	})
-	if len(victims) > budget {
-		victims = victims[:budget]
-	}
-	// Restore queue order so the move-from-the-back loop below keeps
-	// earlier indices valid.
-	sort.Slice(victims, func(a, b int) bool { return victims[a].idx < victims[b].idx })
+	// Collect victims first: moving entries mutates the queue.
+	s.victims = selectVictims(s.victims, w.Queue(), budget, minWait, now)
 	moved := 0
 	// Move from the back so earlier indices stay valid.
-	for i := len(victims) - 1; i >= 0; i-- {
-		v := victims[i]
+	for i := len(s.victims) - 1; i >= 0; i-- {
+		v := s.victims[i]
 		// Interned read-only candidate set; sampling below never mutates.
 		cands := d.Cluster().Matches().Satisfying(v.e.Job.Constraints)
-		best := s.calmestTarget(d, cands, w, targetLoad)
+		best := s.calmestTarget(d, cands, w)
 		if best == nil {
 			continue
 		}
 		if d.MoveEntry(w, best, v.idx) {
 			d.Collector().RescheduledProbes++
-			targetLoad[best.ID]++
+			if s.targetLoad[best.ID] == 0 {
+				s.targeted = append(s.targeted, int32(best.ID))
+			}
+			s.targetLoad[best.ID]++
 			moved++
 		}
 	}
 	return moved
+}
+
+// victim is a probe selected for rescheduling: its queue index and entry.
+type victim struct {
+	idx int
+	e   *sched.Entry
+}
+
+// selectVictims returns, in ascending queue index, the at most budget
+// eligible probes of queue q that have waited longest — those are the
+// entries forming the response-time tail. Eligible means a constrained
+// short job's probe whose job still has unclaimed tasks and, when minWait
+// is positive, that has waited at least minWait by now. "Longest" orders by
+// (Enqueued, queue index), the order a stable sort by Enqueued gives.
+//
+// A queue is sorted by Enqueued (the driver appends every entry at its
+// arrival instant, sched.Worker.Queue), so that order is queue order: the
+// victims are the first budget eligible entries, and the scan stops there
+// or at the first entry younger than minWait, since every later one is
+// younger still. dst is reused; selection allocates nothing once it has
+// capacity budget.
+func selectVictims(dst []victim, q []*sched.Entry, budget int, minWait, now simulation.Time) []victim {
+	dst = dst[:0]
+	for i, e := range q {
+		if len(dst) == budget || (minWait > 0 && now-e.Enqueued < minWait) {
+			break
+		}
+		if !e.IsProbe() || !e.Job.Short || !e.Job.Constrained || e.Job.Unclaimed() == 0 {
+			continue
+		}
+		dst = append(dst, victim{i, e})
+	}
+	return dst
 }
 
 // maxMovesPerTarget bounds how many rescheduled probes one worker may
@@ -355,7 +394,7 @@ const maxMovesPerTarget = 2
 // calmestTarget samples satisfying workers and returns the unmarked,
 // not-yet-saturated one with the smallest backlog, or nil when every
 // sampled alternative is as congested as the source.
-func (s *Scheduler) calmestTarget(d *sched.Driver, cands *bitset.Set, src *sched.Worker, targetLoad map[int]int) *sched.Worker {
+func (s *Scheduler) calmestTarget(d *sched.Driver, cands *bitset.Set, src *sched.Worker) *sched.Worker {
 	sample := d.SampleWorkers(cands, s.opts.RescheduleSample, s.stream)
 	now := d.Now()
 	var (
@@ -363,7 +402,7 @@ func (s *Scheduler) calmestTarget(d *sched.Driver, cands *bitset.Set, src *sched
 		bestB simulation.Time
 	)
 	for _, cand := range sample {
-		if cand == src || s.monitor.Marked(cand.ID) || targetLoad[cand.ID] >= maxMovesPerTarget {
+		if cand == src || s.monitor.Marked(cand.ID) || s.targetLoad[cand.ID] >= maxMovesPerTarget {
 			continue
 		}
 		b := cand.Backlog(now)

@@ -26,19 +26,7 @@ import (
 // sums must agree bit for bit.
 func crvFromScratch(d *sched.Driver) constraint.Vector {
 	supply := make(map[constraint.Constraint]int)
-	live := func(c constraint.Constraint) int {
-		if n, ok := supply[c]; ok {
-			return n
-		}
-		n := 0
-		for _, w := range d.Workers() {
-			if !w.Failed() && c.SatisfiedBy(&w.Machine.Attrs) {
-				n++
-			}
-		}
-		supply[c] = n
-		return n
-	}
+	live := func(c constraint.Constraint) int { return liveFromScratch(d, supply, c) }
 	var v constraint.Vector
 	var lost constraint.DimMask
 	for _, w := range d.Workers() {
@@ -60,9 +48,26 @@ func crvFromScratch(d *sched.Driver) constraint.Vector {
 	return v
 }
 
-// crvChecker compares Driver.QueueCRV against crvFromScratch and counts
-// the comparisons and how many saw a non-zero CRV (so a run that never
-// queues constrained work cannot pass vacuously).
+// liveFromScratch counts the up workers in scope satisfying c, machine by
+// machine, memoized per distinct constraint in supply.
+func liveFromScratch(d *sched.Driver, supply map[constraint.Constraint]int, c constraint.Constraint) int {
+	if n, ok := supply[c]; ok {
+		return n
+	}
+	n := 0
+	for _, w := range d.Workers() {
+		if !w.Failed() && c.SatisfiedBy(&w.Machine.Attrs) {
+			n++
+		}
+	}
+	supply[c] = n
+	return n
+}
+
+// crvChecker compares Driver.QueueCRV against crvFromScratch, and outside
+// a shard scope every queued job's supply memo against liveFromScratch. It
+// counts the comparisons and how many saw a non-zero CRV (so a run that
+// never queues constrained work cannot pass vacuously).
 type crvChecker struct {
 	t       *testing.T
 	d       *sched.Driver
@@ -76,6 +81,21 @@ func (c *crvChecker) check(where string) {
 	for _, dim := range constraint.Dims {
 		if math.Float64bits(got.Get(dim)) != math.Float64bits(want.Get(dim)) {
 			c.t.Fatalf("%s at %v: QueueCRV[%s] = %v, from scratch %v", where, c.d.Now(), dim, got.Get(dim), want.Get(dim))
+		}
+	}
+	if c.d.ActiveShard() < 0 {
+		// Every queued job's live-supply memo, which the unscoped scan
+		// reads, must equal the from-scratch supply of each constraint.
+		supply := make(map[constraint.Constraint]int)
+		for _, w := range c.d.Workers() {
+			for _, e := range w.Queue() {
+				memo := sched.JobSupply(c.d, e.Job)
+				for i, cn := range e.Job.Constraints {
+					if n := liveFromScratch(c.d, supply, cn); int(memo[i]) != n {
+						c.t.Fatalf("%s at %v: job %d supply memo for %v = %d, from scratch %d", where, c.d.Now(), e.Job.Job.ID, cn, memo[i], n)
+					}
+				}
+			}
 		}
 	}
 	c.checks++
@@ -268,9 +288,18 @@ func TestQueueCRVMemoSeesEveryInputMutation(t *testing.T) {
 	const never = 1 << 40
 	sets := []constraint.Set{
 		nil, // the blocker, running on worker 0 while the rest queue
-		{{Dim: constraint.DimClock, Op: constraint.OpGT, Value: never}, isa},                                // hard subset
-		{{Dim: constraint.DimCores, Op: constraint.OpGT, Value: never}},                                     // unconstrained
-		{{Dim: constraint.DimEthSpeed, Op: constraint.OpEQ, Value: attrs.Get(constraint.DimEthSpeed)}, isa}, // policy-scoped
+		{{Dim: constraint.DimClock, Op: constraint.OpGT, Value: never}, isa}, // hard subset
+		{{Dim: constraint.DimCores, Op: constraint.OpGT, Value: never}},      // unconstrained
+		{{Dim: constraint.DimEthSpeed, Op: constraint.OpGT, Value: 0}, isa},  // policy-scoped
+	}
+	// Each rewrite drops the set's first constraint, so a supply memo the
+	// rewrite failed to invalidate would read the dropped constraint's
+	// supply in the kept one's slot; the check sees that only where the
+	// two supplies differ.
+	for _, cs := range sets[1:] {
+		if len(cs) == 2 && cl.SatisfyingOne(cs[0]) == cl.SatisfyingOne(cs[1]) {
+			t.Fatalf("fixture: %v and %v have equal supply", cs[0], cs[1])
+		}
 	}
 	tr := &trace.Trace{Name: "directed", NumNodes: cl.Size(), ShortCutoff: 90 * simulation.Second}
 	for i, cs := range sets {

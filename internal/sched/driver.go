@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/phoenix-sched/phoenix/internal/bitset"
 	"github.com/phoenix-sched/phoenix/internal/cluster"
@@ -66,6 +67,17 @@ type Driver struct {
 	// soa.queueEpoch still equals crvMemoEpoch.
 	crvMemo      constraint.Vector
 	crvMemoEpoch uint64
+	// supplyEpoch counts the failures and recoveries, the events that
+	// change live constraint supply. A JobState's supply memo (jobSupply)
+	// is valid while its epoch equals this one; it starts at 1, so a new
+	// job's zero epoch, which setConstraints also restores, is never
+	// valid.
+	supplyEpoch uint64
+
+	// estChanged is a bitset, one bit per worker, of the workers whose
+	// P-K estimator the driver has fed since a DrainEstimateChanges
+	// covering them last ran.
+	estChanged []uint64
 
 	// probeFilter, when non-nil, intercepts every probe placement; a true
 	// return drops the probe in flight (fault-injected probe loss). See
@@ -140,12 +152,14 @@ func newDriver(cfg Config, cl *cluster.Cluster, tr *trace.Trace, s Scheduler, se
 	}
 	d.soa = newWorkerSoA(cl.Size())
 	d.crvMemoEpoch = ^uint64(0) // no memo until the first QueueCRV
+	d.supplyEpoch = 1
+	d.estChanged = make([]uint64, (cl.Size()+63)/64)
 	for i := range d.workers {
 		est, err := queueing.NewEstimator(cfg.ServiceWindow, cfg.ArrivalWindow)
 		if err != nil {
 			return nil, err
 		}
-		d.workers[i] = &Worker{ID: i, Machine: cl.Machine(i), Estimator: est, soa: d.soa}
+		d.workers[i] = &Worker{ID: i, Machine: cl.Machine(i), Estimator: est, waitStale: true, soa: d.soa}
 		d.policies[i] = FIFO{}
 	}
 	d.longOccupied = bitset.New(cl.Size())
@@ -388,6 +402,7 @@ func (d *Driver) takeDown(w *Worker, now simulation.Time) {
 	d.downSet.Set(w.ID)
 	d.downCount++
 	d.soa.queueEpoch++
+	d.supplyEpoch++
 	d.collector.WorkerFailures++
 	if w.running != nil {
 		if w.completion != nil {
@@ -410,6 +425,7 @@ func (d *Driver) recoverWorker(w *Worker) {
 	d.downSet.Clear(w.ID)
 	d.downCount--
 	d.soa.queueEpoch++
+	d.supplyEpoch++
 	d.notifyWorkerRecovery(w)
 	now := d.engine.Now()
 	if w.running != nil {
@@ -540,14 +556,21 @@ func (d *Driver) QueueCRV() constraint.Vector {
 	return d.crvMemo
 }
 
-// scanQueueCRV is QueueCRV's one pass over the (scoped) queues.
+// scanQueueCRV is QueueCRV's one pass over the (scoped) queues, reading
+// each job's live supply from its memo where it has one (jobSupply).
 func (d *Driver) scanQueueCRV() constraint.Vector {
 	var vec constraint.Vector
 	var lost constraint.DimMask
 	for _, w := range d.Workers() {
 		for _, e := range w.queue {
-			for _, c := range e.Job.Constraints {
-				n := d.LiveSupplyOne(c)
+			supply := d.jobSupply(e.Job)
+			for i, c := range e.Job.Constraints {
+				var n int
+				if supply != nil {
+					n = int(supply[i])
+				} else {
+					n = d.LiveSupplyOne(c)
+				}
 				if n == 0 {
 					// Demand with zero live supply: an outage erased every
 					// satisfying machine. Clamped below instead of dividing
@@ -569,6 +592,61 @@ func (d *Driver) scanQueueCRV() constraint.Vector {
 		}
 	}
 	return vec
+}
+
+// jobSupply returns the LiveSupplyOne of each of js's constraints, in
+// order, recomputing them only when js's memo is stale. It returns nil,
+// and the caller computes supply fresh, inside a shard scope (the memo
+// holds cluster-wide supply) and for a set wider than the memo.
+func (d *Driver) jobSupply(js *JobState) []int32 {
+	cs := js.Constraints
+	if sh := d.shard; (sh != nil && sh.active >= 0) || len(cs) > len(js.supply) {
+		return nil
+	}
+	if js.supplyEpoch != d.supplyEpoch {
+		for i, c := range cs {
+			js.supply[i] = int32(d.LiveSupplyOne(c))
+		}
+		js.supplyEpoch = d.supplyEpoch
+	}
+	return js.supply[:len(cs)]
+}
+
+// estimatorFed records that w's P-K estimator just took an observation:
+// its memoized estimate goes stale (Worker.WaitEstimate) and w joins the
+// changed set DrainEstimateChanges hands out.
+func (d *Driver) estimatorFed(w *Worker) {
+	w.waitStale = true
+	d.estChanged[w.ID>>6] |= 1 << (uint(w.ID) & 63)
+}
+
+// DrainEstimateChanges calls fn, in ascending ID order, for every worker
+// whose P-K estimator the driver has fed (task arrival or completion) since
+// the previous drain that covered it, and forgets those workers. A worker
+// not handed out has the same Worker.WaitEstimate as at that previous
+// drain. Inside an active shard scope it covers only the shard's members,
+// so each shard's consumer sees exactly its own workers' changes. The
+// Phoenix monitor is the consumer: it refreshes only the estimates that
+// can have moved.
+func (d *Driver) DrainEstimateChanges(fn func(w *Worker)) {
+	var members []uint64
+	if sh := d.shard; sh != nil && sh.active >= 0 {
+		members = sh.plan.Members(sh.active).Words()
+	}
+	for wi, word := range d.estChanged {
+		if members != nil {
+			word &= members[wi]
+		}
+		if word == 0 {
+			continue
+		}
+		d.estChanged[wi] &^= word
+		base := wi << 6
+		for word != 0 {
+			fn(d.workers[base+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
 }
 
 // DownCount reports how many workers are currently failed.
@@ -638,6 +716,7 @@ func (d *Driver) MoveEntry(victim, thief *Worker, idx int) bool {
 func (d *Driver) admit(w *Worker, e *Entry) {
 	w.push(e)
 	w.Estimator.ObserveArrival(d.engine.Now().Seconds())
+	d.estimatorFed(w)
 	d.notifyEnqueue(w, e)
 	if w.Idle() && !w.failed {
 		d.tryDispatch(w)
@@ -775,6 +854,7 @@ func (d *Driver) completeTask(w *Worker) {
 	d.soa.runningEnds[w.ID] = idleEnds
 	d.collector.BusyTime += served
 	w.Estimator.ObserveService(served.Seconds())
+	d.estimatorFed(w)
 
 	js := e.Job
 	d.releaseLong(w, e)
@@ -859,9 +939,7 @@ func (d *Driver) CandidateWorkers(js *JobState) *bitset.Set {
 		if mask := p.RelaxDims(js) & js.ConstraintDims & constraint.SoftDims(); mask != 0 {
 			reduced := js.Constraints.Without(mask)
 			if cands, n := matches.SatisfyingWithCount(reduced); n > 0 {
-				js.Constraints = reduced
-				js.ConstraintDims = reduced.Dims()
-				d.soa.queueEpoch++
+				d.setConstraints(js, reduced)
 				js.Relaxed = true
 				d.collector.RelaxedJobs++
 				return cands
@@ -876,9 +954,7 @@ func (d *Driver) CandidateWorkers(js *JobState) *bitset.Set {
 		hard := js.Constraints.Hard()
 		if len(hard) < len(js.Constraints) {
 			if cands, n = matches.SatisfyingWithCount(hard); n > 0 {
-				js.Constraints = hard
-				js.ConstraintDims = hard.Dims()
-				d.soa.queueEpoch++
+				d.setConstraints(js, hard)
 				js.Relaxed = true
 				d.collector.RelaxedJobs++
 				return cands
@@ -888,11 +964,19 @@ func (d *Driver) CandidateWorkers(js *JobState) *bitset.Set {
 		d.collector.RelaxedJobs++
 	}
 	if js.Constraints != nil {
-		js.Constraints = nil
-		js.ConstraintDims = 0
-		d.soa.queueEpoch++
+		d.setConstraints(js, nil)
 	}
 	return matches.All()
+}
+
+// setConstraints rewrites js's effective constraint set (CandidateWorkers'
+// relaxations). The queue CRV reads it, so its memo goes stale, and so
+// does the job's own supply memo (jobSupply); no other job's supply moves.
+func (d *Driver) setConstraints(js *JobState, cs constraint.Set) {
+	js.Constraints = cs
+	js.ConstraintDims = cs.Dims()
+	js.supplyEpoch = 0
+	d.soa.queueEpoch++
 }
 
 // SampleWorkers draws up to k distinct workers uniformly from the candidate

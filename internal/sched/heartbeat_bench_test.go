@@ -187,3 +187,53 @@ func TestHeartbeatCRVMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEstimateWait prices one pass over every worker's P-K waiting-time
+// estimate, as the telemetry sample, the Phoenix monitor's first refresh
+// and the backfill policy read them, on the 2,250-worker outage fixture
+// with every estimator fed 20 arrivals and 20 service times. Before each
+// pass 1 worker in 16 takes a new observation, about the share of workers
+// whose estimator changes between two heartbeats of the supply-loss
+// service run; both sides pay that feed. "memo" reads Worker.WaitEstimate,
+// recomputing only the fed workers; "pure" calls Estimator.EstimateWait on
+// every worker, as every reader did before the memo.
+func BenchmarkEstimateWait(b *testing.B) {
+	d := newHeartbeatFixture(b, true)
+	st := d.Stream("bench/estimates")
+	for _, w := range d.workers {
+		at := 0.0
+		for i := 0; i < 20; i++ {
+			at += st.Exp(1)
+			w.Estimator.ObserveArrival(at)
+			w.Estimator.ObserveService(st.Exp(1))
+		}
+		d.estimatorFed(w)
+	}
+	for _, bc := range []struct {
+		name string
+		read func(w *Worker) float64
+	}{
+		{"memo", func(w *Worker) float64 { x, _ := w.WaitEstimate(); return x }},
+		{"pure", func(w *Worker) float64 { x, _ := w.Estimator.EstimateWait(); return x }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			next := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < len(d.workers)/16; k++ {
+					w := d.workers[next]
+					w.Estimator.ObserveService(1)
+					d.estimatorFed(w)
+					next = (next + 1) % len(d.workers)
+				}
+				var sum float64
+				for _, w := range d.workers {
+					sum += bc.read(w)
+				}
+				sinkWait = sum
+			}
+		})
+	}
+}
+
+var sinkWait float64

@@ -34,6 +34,9 @@ type workerSoA struct {
 	// first ReserveWorker call, so runs that never reserve pay exactly one
 	// nil check per dispatch and nothing on placement scans.
 	resStartBy []simulation.Time
+	// waitEst is each worker's memoized P-K waiting-time estimate
+	// (Worker.WaitEstimate), +Inf when saturated.
+	waitEst []float64
 	// queueEpoch counts mutations of the queue CRV's inputs: every queue
 	// push and delete, every failure and recovery, and every constraint
 	// rewrite of a job. Driver.QueueCRV memoizes on it.
@@ -50,6 +53,7 @@ func newWorkerSoA(n int) *workerSoA {
 	st := &workerSoA{
 		backlog:     make([]simulation.Time, n),
 		runningEnds: make([]simulation.Time, n),
+		waitEst:     make([]float64, n),
 	}
 	for i := range st.runningEnds {
 		st.runningEnds[i] = idleEnds

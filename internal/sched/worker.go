@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+
 	"github.com/phoenix-sched/phoenix/internal/cluster"
 	"github.com/phoenix-sched/phoenix/internal/queueing"
 	"github.com/phoenix-sched/phoenix/internal/simulation"
@@ -40,8 +42,10 @@ type Worker struct {
 	// Machine is the hardware description.
 	Machine *cluster.Machine
 
-	// queue holds waiting entries in arrival order; policies select by
-	// index so that bypass accounting (who overtook whom) stays exact.
+	// queue holds waiting entries in arrival order, so Enqueued never
+	// decreases along it (push only appends, at the arrival instant);
+	// policies select by index so that bypass accounting (who overtook
+	// whom) stays exact.
 	queue []*Entry
 	// running is the entry occupying the slot, nil when idle.
 	running *Entry
@@ -54,6 +58,13 @@ type Worker struct {
 	// failed marks a worker that is down: it keeps its queue but
 	// dispatches nothing until repair.
 	failed bool
+	// waitStale marks soa.waitEst[ID], the memoized P-K estimate, for
+	// recompute. The driver sets it whenever it feeds the estimator
+	// (Driver.estimatorFed), the only time the estimate can change.
+	waitStale bool
+	// queuedProbes counts the late-binding probes among queue's entries,
+	// kept by push and deleteAt.
+	queuedProbes int32
 	// slowFactor is the fault-injected multiplicative service-time factor
 	// (Driver.SetServiceFactor); the zero value means nominal speed. Kept
 	// private so every change flows through the driver and notifies
@@ -71,15 +82,35 @@ type Worker struct {
 	longCount int
 
 	// Estimator feeds the Pollaczek–Khinchin waiting-time estimate for
-	// this worker (Phoenix's Estimate_Waiting_Time).
+	// this worker (Phoenix's Estimate_Waiting_Time). Only the driver may
+	// feed it: WaitEstimate's memo and DrainEstimateChanges rely on
+	// seeing every observation.
 	Estimator *queueing.Estimator
+}
+
+// WaitEstimate reports the worker's P-K expected waiting time and whether
+// its queue is saturated: Estimator.EstimateWait, memoized until the driver
+// next feeds the estimator, so every reader between two arrivals or
+// completions shares one computation.
+func (w *Worker) WaitEstimate() (wait float64, saturated bool) {
+	est := &w.soa.waitEst[w.ID]
+	if w.waitStale {
+		// EstimateWait reports saturation exactly when the wait is +Inf.
+		*est, _ = w.Estimator.EstimateWait()
+		w.waitStale = false
+	}
+	return *est, math.IsInf(*est, 1)
 }
 
 // QueueLen reports the number of waiting entries.
 func (w *Worker) QueueLen() int { return len(w.queue) }
 
-// Queue exposes the waiting entries in arrival order. Policies may read
-// entries but must not add or remove; mutation goes through the driver.
+// QueuedProbes reports how many of the waiting entries are probes.
+func (w *Worker) QueuedProbes() int { return int(w.queuedProbes) }
+
+// Queue exposes the waiting entries in arrival order, hence in
+// non-decreasing Enqueued order. Policies may read entries but must not add
+// or remove; mutation goes through the driver.
 func (w *Worker) Queue() []*Entry { return w.queue }
 
 // Idle reports whether the slot is free.
@@ -124,6 +155,9 @@ func (w *Worker) QueuedWork() simulation.Time { return w.soa.backlog[w.ID] }
 // placement time.
 func (w *Worker) push(e *Entry) {
 	w.queue = append(w.queue, e)
+	if e.IsProbe() {
+		w.queuedProbes++
+	}
 	w.soa.queueEpoch++
 }
 
@@ -156,6 +190,9 @@ func (w *Worker) discardAt(i int) *Entry { return w.stealAt(i) }
 
 func (w *Worker) deleteAt(i int) {
 	w.soa.queueEpoch++
+	if w.queue[i].IsProbe() {
+		w.queuedProbes--
+	}
 	copy(w.queue[i:], w.queue[i+1:])
 	w.queue[len(w.queue)-1] = nil
 	w.queue = w.queue[:len(w.queue)-1]

@@ -66,7 +66,7 @@ func (b *Backfill) tryBackfill(d *sched.Driver, js *sched.JobState) bool {
 		if !cands.Test(w.ID) {
 			continue
 		}
-		wait, saturated := w.Estimator.EstimateWait()
+		wait, saturated := w.WaitEstimate()
 		if saturated {
 			continue
 		}

@@ -285,18 +285,16 @@ func (r *Recorder) tick(now simulation.Time) bool {
 // sample appends one snapshot at the given time and resets the interval
 // accumulators. The CRV is the driver's memoized QueueCRV, so the tick
 // shares one queue scan with the admission tick and the Phoenix heartbeat
-// that fire at the same instant.
+// that fire at the same instant; the P-K estimates are the workers'
+// memoized ones, and the probe counts the driver-kept ones, so the sample
+// reads each worker once and walks no queue.
 func (r *Recorder) sample(now simulation.Time) {
 	s := Sample{Time: now, CRV: r.d.QueueCRV()}
 
 	var estSum float64
 	var estN int
 	for _, w := range r.d.Workers() {
-		for _, e := range w.Queue() {
-			if e.IsProbe() {
-				s.QueuedProbes++
-			}
-		}
+		s.QueuedProbes += w.QueuedProbes()
 		s.QueuedEntries += w.QueueLen()
 		if !w.Idle() {
 			s.BusyWorkers++
@@ -307,7 +305,7 @@ func (r *Recorder) sample(now simulation.Time) {
 		if w.Slowed() {
 			s.SlowedWorkers++
 		}
-		wait, saturated := w.Estimator.EstimateWait()
+		wait, saturated := w.WaitEstimate()
 		if saturated {
 			s.SaturatedWorkers++
 			continue
@@ -388,7 +386,7 @@ func (r *Recorder) OnStart(d *sched.Driver, w *sched.Worker, e *sched.Entry, _ *
 		r.waitMax = wait
 	}
 	r.waitHist.Observe(wait)
-	if est, saturated := w.Estimator.EstimateWait(); !saturated {
+	if est, saturated := w.WaitEstimate(); !saturated {
 		r.estErrSum += math.Abs(est - wait)
 		r.estErrN++
 	}
