@@ -66,10 +66,12 @@ smoke:
 # golden digest corpus at scale 0.05, re-run the scale-1.0 reference and
 # diff its digest against results/digest-scale1.golden, then run the
 # engine, service, placement and heartbeat benchmarks and gate them against
-# the committed BENCH_*.json records via cmd/benchgate: ns/op against the
-# baseline (>15% regression fails), and, where a record sets them, its
-# ns/op over its in-run reference's (max_ratio) and its allocs/op
-# (max_allocs).
+# the committed BENCH_*.json records via cmd/benchgate. The engine, service,
+# sharded, gang and admission records gate ns/op against the baseline (>15%
+# regression fails). The placement and heartbeat records carry in-run gates
+# and are judged by those alone: ns/op over the in-run reference's
+# (max_ratio) and allocs/op (max_allocs); their baselines are medians of six
+# runs, and one run's ns/op scatters past 15% of them on the same host.
 NIGHTLY_BENCH ?= /tmp/nightly-bench.txt
 nightly:
 	$(GO) test -count=1 -run 'TestGoldenDigestCorpus' ./internal/experiments/

@@ -26,6 +26,11 @@
 //     fresh ns/op of the ratio_to benchmark exceeds max_ratio;
 //   - max_allocs: fail when the record's fresh allocs/op exceeds it (the
 //     input must come from a -benchmem run).
+//
+// A record that carries an in-run gate is judged by its in-run gates only:
+// its delta to the baseline is printed but does not fail. Such records'
+// baselines are medians of several runs, and a single run's ns/op scatters
+// past the threshold of them even on the host that recorded them.
 package main
 
 import (
@@ -151,6 +156,19 @@ func inRunGates(rec record, ns, allocs map[string]float64) (lines []string, fail
 	return lines, failed
 }
 
+// baselineVerdict judges rec's fresh ns/op, delta (a fraction) above its
+// baseline: it fails past threshold, unless rec carries an in-run gate,
+// which then judges it alone.
+func baselineVerdict(rec record, delta, threshold float64) (verdict string, fail bool) {
+	switch {
+	case rec.RatioTo != "" || rec.MaxAllocs != nil:
+		return "  (in-run gates only)", false
+	case delta > threshold:
+		return fmt.Sprintf("  FAIL (> %+.0f%%)", threshold*100), true
+	}
+	return "", false
+}
+
 func main() {
 	threshold := flag.Float64("threshold", 0.15, "allowed fractional ns/op regression before failing")
 	input := flag.String("input", "", "benchmark output file (default: stdin)")
@@ -205,9 +223,8 @@ func main() {
 				continue
 			}
 			delta := (cur - base) / base
-			verdict := ""
-			if delta > *threshold {
-				verdict = fmt.Sprintf("  FAIL (> %+.0f%%)", *threshold*100)
+			verdict, fail := baselineVerdict(rec, delta, *threshold)
+			if fail {
 				failed++
 			}
 			fmt.Printf("%-50s %14.1f %14.1f %+7.1f%%%s\n", rec.Benchmark, base, cur, delta*100, verdict)

@@ -143,3 +143,24 @@ func TestInRunGates(t *testing.T) {
 		}
 	}
 }
+
+func TestBaselineVerdict(t *testing.T) {
+	zero := 0.0
+	cases := []struct {
+		name  string
+		rec   record
+		delta float64
+		fail  bool
+	}{
+		{"within threshold", record{}, 0.10, false},
+		{"past threshold", record{}, 0.20, true},
+		{"past threshold, ratio-gated", record{RatioTo: "ref", MaxRatio: 0.5}, 0.20, false},
+		{"past threshold, allocs-gated", record{MaxAllocs: &zero}, 0.20, false},
+	}
+	for _, tc := range cases {
+		verdict, fail := baselineVerdict(tc.rec, tc.delta, 0.15)
+		if fail != tc.fail || strings.Contains(verdict, "FAIL") != tc.fail {
+			t.Errorf("%s: verdict %q, fail %v; want fail %v", tc.name, verdict, fail, tc.fail)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 
 	"github.com/phoenix-sched/phoenix/internal/bitset"
@@ -12,8 +11,7 @@ import (
 // Monitor is the CRV node monitor (Figure 5's CRV_Monitor +
 // CRV_Lookup_Table): it owns the cluster-wide Constraint Resource Vector,
 // the per-worker waiting-time estimates, and the set of workers marked for
-// CRV-based reordering. It refreshes on every heartbeat, re-reading only
-// the estimates the driver reports changed (sched.DrainEstimateChanges).
+// CRV-based reordering. It refreshes on every heartbeat.
 type Monitor struct {
 	// vector is the current CRV: per dimension, queued demand divided by
 	// satisfying supply.
@@ -25,9 +23,6 @@ type Monitor struct {
 	// Qwait threshold; markedCount is how many are set.
 	marked      []bool
 	markedCount int
-	// qwait is the Qwait threshold the marks were derived with; NaN
-	// before the first refresh, so that refresh derives every mark.
-	qwait float64
 	// flipped lists the workers whose mark changed since the scheduler
 	// last consumed the list (Scheduler.OnHeartbeat), so the policy flip
 	// touches only those.
@@ -65,7 +60,6 @@ func NewMonitor(n int) *Monitor {
 	return &Monitor{
 		lastWait:     make([]float64, n),
 		marked:       make([]bool, n),
-		qwait:        math.NaN(),
 		demandCredit: make([]float64, n),
 	}
 }
@@ -148,11 +142,10 @@ func (m *Monitor) Heartbeats() int64 { return m.heartbeats }
 // CRV demand/supply ratio of §IV-A. The vector is the driver's shared
 // Driver.QueueCRV, so telemetry and admission read the same scan.
 //
-// Estimates: a worker's P-K estimate changes only when the driver feeds its
-// estimator, so the first refresh (and any refresh with a new Qwait
-// threshold) derives every worker in scope, and later refreshes re-derive
-// only the workers the driver reports changed since. The result equals a
-// full recompute bit for bit.
+// Estimates: every worker in scope is re-read each refresh, but through
+// Worker.WaitEstimate's memo, which recomputes only the estimates the
+// driver has fed since; the marked count and the list of flipped marks are
+// kept as the marks are written.
 func (m *Monitor) Refresh(d *sched.Driver, crvThreshold, qwaitThresholdSeconds float64) bool {
 	m.heartbeats++
 	for i := range m.demandCredit {
@@ -161,22 +154,18 @@ func (m *Monitor) Refresh(d *sched.Driver, crvThreshold, qwaitThresholdSeconds f
 	m.vector = d.QueueCRV()
 	m.hot = m.vector.AnyAbove(crvThreshold)
 
-	if qwaitThresholdSeconds != m.qwait {
-		m.qwait = qwaitThresholdSeconds
-		for _, w := range d.Workers() {
-			m.update(w)
-		}
+	for _, w := range d.Workers() {
+		m.update(w, qwaitThresholdSeconds)
 	}
-	d.DrainEstimateChanges(m.update)
 	return m.hot
 }
 
-// update re-derives worker w's estimate and mark, keeping markedCount and
-// the flipped list.
-func (m *Monitor) update(w *sched.Worker) {
+// update re-derives worker w's estimate and its mark against the Qwait
+// threshold, keeping markedCount and the flipped list.
+func (m *Monitor) update(w *sched.Worker, qwait float64) {
 	wait, _ := w.WaitEstimate() // +Inf when saturated
 	m.lastWait[w.ID] = wait
-	mark := wait > m.qwait
+	mark := wait > qwait
 	if mark == m.marked[w.ID] {
 		return
 	}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/phoenix-sched/phoenix/internal/bitset"
 	"github.com/phoenix-sched/phoenix/internal/cluster"
@@ -73,11 +72,6 @@ type Driver struct {
 	// job's zero epoch, which setConstraints also restores, is never
 	// valid.
 	supplyEpoch uint64
-
-	// estChanged is a bitset, one bit per worker, of the workers whose
-	// P-K estimator the driver has fed since a DrainEstimateChanges
-	// covering them last ran.
-	estChanged []uint64
 
 	// probeFilter, when non-nil, intercepts every probe placement; a true
 	// return drops the probe in flight (fault-injected probe loss). See
@@ -153,7 +147,6 @@ func newDriver(cfg Config, cl *cluster.Cluster, tr *trace.Trace, s Scheduler, se
 	d.soa = newWorkerSoA(cl.Size())
 	d.crvMemoEpoch = ^uint64(0) // no memo until the first QueueCRV
 	d.supplyEpoch = 1
-	d.estChanged = make([]uint64, (cl.Size()+63)/64)
 	for i := range d.workers {
 		est, err := queueing.NewEstimator(cfg.ServiceWindow, cfg.ArrivalWindow)
 		if err != nil {
@@ -612,43 +605,6 @@ func (d *Driver) jobSupply(js *JobState) []int32 {
 	return js.supply[:len(cs)]
 }
 
-// estimatorFed records that w's P-K estimator just took an observation:
-// its memoized estimate goes stale (Worker.WaitEstimate) and w joins the
-// changed set DrainEstimateChanges hands out.
-func (d *Driver) estimatorFed(w *Worker) {
-	w.waitStale = true
-	d.estChanged[w.ID>>6] |= 1 << (uint(w.ID) & 63)
-}
-
-// DrainEstimateChanges calls fn, in ascending ID order, for every worker
-// whose P-K estimator the driver has fed (task arrival or completion) since
-// the previous drain that covered it, and forgets those workers. A worker
-// not handed out has the same Worker.WaitEstimate as at that previous
-// drain. Inside an active shard scope it covers only the shard's members,
-// so each shard's consumer sees exactly its own workers' changes. The
-// Phoenix monitor is the consumer: it refreshes only the estimates that
-// can have moved.
-func (d *Driver) DrainEstimateChanges(fn func(w *Worker)) {
-	var members []uint64
-	if sh := d.shard; sh != nil && sh.active >= 0 {
-		members = sh.plan.Members(sh.active).Words()
-	}
-	for wi, word := range d.estChanged {
-		if members != nil {
-			word &= members[wi]
-		}
-		if word == 0 {
-			continue
-		}
-		d.estChanged[wi] &^= word
-		base := wi << 6
-		for word != 0 {
-			fn(d.workers[base+bits.TrailingZeros64(word)])
-			word &= word - 1
-		}
-	}
-}
-
 // DownCount reports how many workers are currently failed.
 func (d *Driver) DownCount() int { return d.downCount }
 
@@ -716,7 +672,7 @@ func (d *Driver) MoveEntry(victim, thief *Worker, idx int) bool {
 func (d *Driver) admit(w *Worker, e *Entry) {
 	w.push(e)
 	w.Estimator.ObserveArrival(d.engine.Now().Seconds())
-	d.estimatorFed(w)
+	w.waitStale = true // the estimate may have moved (WaitEstimate)
 	d.notifyEnqueue(w, e)
 	if w.Idle() && !w.failed {
 		d.tryDispatch(w)
@@ -854,7 +810,7 @@ func (d *Driver) completeTask(w *Worker) {
 	d.soa.runningEnds[w.ID] = idleEnds
 	d.collector.BusyTime += served
 	w.Estimator.ObserveService(served.Seconds())
-	d.estimatorFed(w)
+	w.waitStale = true // the estimate may have moved (WaitEstimate)
 
 	js := e.Job
 	d.releaseLong(w, e)

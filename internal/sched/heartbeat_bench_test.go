@@ -192,9 +192,10 @@ func TestHeartbeatCRVMatchesReference(t *testing.T) {
 // estimate, as the telemetry sample, the Phoenix monitor's first refresh
 // and the backfill policy read them, on the 2,250-worker outage fixture
 // with every estimator fed 20 arrivals and 20 service times. Before each
-// pass 1 worker in 16 takes a new observation, about the share of workers
-// whose estimator changes between two heartbeats of the supply-loss
-// service run; both sides pay that feed. "memo" reads Worker.WaitEstimate,
+// pass 1 worker in 12 takes a new observation: the supply-loss service
+// run feeds a mean of 188–190 of its 2,250 estimators between two
+// heartbeats on trace seeds 1000 and 2002006 (41 on seed 1001003). Both
+// sides pay that feed. "memo" reads Worker.WaitEstimate,
 // recomputing only the fed workers; "pure" calls Estimator.EstimateWait on
 // every worker, as every reader did before the memo.
 func BenchmarkEstimateWait(b *testing.B) {
@@ -207,7 +208,7 @@ func BenchmarkEstimateWait(b *testing.B) {
 			w.Estimator.ObserveArrival(at)
 			w.Estimator.ObserveService(st.Exp(1))
 		}
-		d.estimatorFed(w)
+		w.waitStale = true
 	}
 	for _, bc := range []struct {
 		name string
@@ -220,10 +221,10 @@ func BenchmarkEstimateWait(b *testing.B) {
 			next := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for k := 0; k < len(d.workers)/16; k++ {
+				for k := 0; k < len(d.workers)/12; k++ {
 					w := d.workers[next]
 					w.Estimator.ObserveService(1)
-					d.estimatorFed(w)
+					w.waitStale = true
 					next = (next + 1) % len(d.workers)
 				}
 				var sum float64

@@ -60,7 +60,7 @@ type Worker struct {
 	failed bool
 	// waitStale marks soa.waitEst[ID], the memoized P-K estimate, for
 	// recompute. The driver sets it whenever it feeds the estimator
-	// (Driver.estimatorFed), the only time the estimate can change.
+	// (admit, completeTask), the only time the estimate can change.
 	waitStale bool
 	// queuedProbes counts the late-binding probes among queue's entries,
 	// kept by push and deleteAt.
@@ -83,8 +83,7 @@ type Worker struct {
 
 	// Estimator feeds the Pollaczek–Khinchin waiting-time estimate for
 	// this worker (Phoenix's Estimate_Waiting_Time). Only the driver may
-	// feed it: WaitEstimate's memo and DrainEstimateChanges rely on
-	// seeing every observation.
+	// feed it: WaitEstimate's memo relies on seeing every observation.
 	Estimator *queueing.Estimator
 }
 
